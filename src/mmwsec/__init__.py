@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .array_geometry import ArrayConfig, array_response, steered_weights, steering_phase
+from .array_geometry import ArrayConfig, array_response, steering_phase
 from .channel import ChannelRealization, channel_stats, sample_channel, top_k_paths
 from .strategies import StrategyKind, StrategyParams
 from .signal_engine import ObserverKind, ObserverSpec, dirichlet_B, simulate_symbols

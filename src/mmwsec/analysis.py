@@ -19,15 +19,8 @@ import numpy as np
 
 from .array_geometry import ArrayConfig
 from .channel import ChannelRealization
-from .signal_engine import (
-    SignalSample,
-    beta_e_hat_term,
-    beta_e_term,
-    beta_r_term,
-    cos_aligned,
-    dirichlet_B,
-)
-from .strategies import StrategyKind, StrategyParams, secondary_pool
+from .signal_engine import beta_e_hat_term, beta_e_term, beta_r_term, cos_aligned, dirichlet_B
+from .strategies import StrategyKind, StrategyParams, SymbolPlan, secondary_pool
 
 EXHAUSTIVE_SUBSET_LIMIT = 10**6
 
@@ -48,14 +41,6 @@ class SnrPair:
     def __post_init__(self):
         if self.snr_r < 0 or self.snr_e < 0:
             raise ValueError("SNRs must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SecrecyPoint:
-    strategy: StrategyKind
-    sweep_value: float
-    snr: SnrPair
-    rate_bps_hz: float
 
 
 def secrecy_rate(snr: SnrPair) -> float:
@@ -151,10 +136,11 @@ def snr_e_joint(
     return aligned + unaligned
 
 
-def _gain_array(samples) -> np.ndarray:
-    if len(samples) and isinstance(samples[0], SignalSample):
-        return np.array([s.effective_gain for s in samples])
-    return np.asarray(samples, dtype=complex)
+def _coherent_snr(g: np.ndarray, noise_power_linear: float) -> float:
+    """The coherent mean / variance estimator behind every eavesdropper SNR."""
+    mean = g.mean()
+    var = float(np.mean(np.abs(g - mean) ** 2))
+    return float(np.abs(mean) ** 2 / (var + noise_power_linear))
 
 
 def mc_snr_estimator(samples, noise_power_linear: float) -> float:
@@ -163,30 +149,16 @@ def mc_snr_estimator(samples, noise_power_linear: float) -> float:
     The variance term is the artificial-noise power seen by an observer
     without the transmit schedule.
     """
-    g = _gain_array(samples)
+    g = np.asarray(samples, dtype=complex)
     if g.size < 2:
         raise ValueError("at least 2 samples required")
-    mean = g.mean()
-    var = float(np.mean(np.abs(g - mean) ** 2))
-    return float(np.abs(mean) ** 2 / (var + noise_power_linear))
-
-
-def schedule_compensate(samples) -> np.ndarray:
-    """Receiver-side preprocessing: cancel the known per-symbol modulation.
-
-    The receiver is preprogrammed with the transmit schedule and knows its
-    channel, so the symbol-to-symbol gain fluctuation is deterministic side
-    information, not noise.  The compensated stream is flat at the mean
-    gain magnitude.
-    """
-    g = _gain_array(samples)
-    return np.full(g.size, np.abs(g).mean(), dtype=complex)
+    return _coherent_snr(g, noise_power_linear)
 
 
 def receiver_snr(samples, noise_power_linear: float) -> float:
     """Receiver SNR with schedule-known fluctuation removed:
     (mean |gain|)^2 / noise."""
-    g = _gain_array(samples)
+    g = np.asarray(samples, dtype=complex)
     if g.size < 1:
         raise ValueError("at least 1 sample required")
     return float(np.abs(g).mean() ** 2 / noise_power_linear)
@@ -200,17 +172,14 @@ def alignment_mixture_snr(gains, labels, noise_power_linear: float) -> float:
     variance estimator and the groups mix with empirical frequencies.
     Mirrors the closed forms' probability-weighted structure.
     """
-    g = _gain_array(gains)
+    g = np.asarray(gains, dtype=complex)
     labels = np.asarray(labels)
     if g.size != labels.size:
         raise ValueError("gains and labels must have equal length")
     total = 0.0
     for lab in np.unique(labels):
         sel = g[labels == lab]
-        mean = sel.mean()
-        var = float(np.mean(np.abs(sel - mean) ** 2)) if sel.size > 1 else 0.0
-        snr = float(np.abs(mean) ** 2 / (var + noise_power_linear))
-        total += (sel.size / g.size) * snr
+        total += (sel.size / g.size) * _coherent_snr(sel, noise_power_linear)
     return total
 
 
@@ -225,16 +194,35 @@ def location_mixture_snr(aligned_gains, sidelobe_gain_sets, n_paths, noise_power
     two-term closed form of the joint technique.
     """
     L = n_paths
-    g = _gain_array(aligned_gains)
+    g = np.asarray(aligned_gains, dtype=complex)
     snr_main = float(np.abs(g.mean()) ** 2 / noise_power_linear) if g.size else 0.0
-    side = []
-    for gains in sidelobe_gain_sets:
-        s = _gain_array(gains)
-        mean = s.mean()
-        var = float(np.mean(np.abs(s - mean) ** 2))
-        side.append(float(np.abs(mean) ** 2 / (var + noise_power_linear)))
+    side = [
+        _coherent_snr(np.asarray(s, dtype=complex), noise_power_linear)
+        for s in sidelobe_gain_sets
+    ]
     snr_side = float(np.mean(side)) if side else 0.0
     return (2.0 / L) * snr_main + (1.0 - 2.0 / L) * snr_side
+
+
+def joint_sidelobe_aods(
+    ch: ChannelRealization, l_s: int, theta_e_deg: float
+) -> tuple[bool, list[float]]:
+    """Where the joint scheme's eavesdropper mixture observes its sidelobes.
+
+    Returns whether theta_e_deg coincides with a transmit angle (the
+    strongest path or a secondary candidate), and the path angles the
+    scheme never steers at.  A covered eavesdropper mixes mainlobe
+    interception with sidelobe observation at those angles (the
+    pessimistic random-location model).
+    """
+    pool = secondary_pool(ch, l_s)
+    covered = any(
+        cos_aligned(theta_e_deg, ch.paths[i].aod_deg) for i in [ch.strongest_index, *pool]
+    )
+    side = [
+        p.aod_deg for i, p in enumerate(ch.paths) if i != ch.strongest_index and i not in pool
+    ]
+    return covered, side
 
 
 @dataclass(frozen=True)
@@ -286,21 +274,10 @@ def estimate_joint_moments(
     non-transmitted path angles — the locations the unaligned mixture
     branch actually represents; otherwise they are taken at theta_e_deg.
     """
-    from .strategies import SymbolPlan  # local alias for plan construction
-
     n = cfg.n_antennas
     scale = math.sqrt(ch.n_paths * n)
-    pool_set = set(secondary_pool(ch, params.l_s))
-    covered = cos_aligned(theta_e_deg, ch.strongest_aod_deg) or any(
-        cos_aligned(theta_e_deg, ch.paths[i].aod_deg) for i in pool_set
-    )
-    if covered:
-        side_aods = [
-            p.aod_deg
-            for i, p in enumerate(ch.paths)
-            if i != ch.strongest_index and i not in pool_set
-        ]
-    else:
+    covered, side_aods = joint_sidelobe_aods(ch, params.l_s, theta_e_deg)
+    if not covered:
         side_aods = [theta_e_deg]
     beta_r_vals, beta_e_vals, beta_hat_vals = [], [], []
     for main, sec in _joint_draws(ch, cfg, params, rng, n_draws):

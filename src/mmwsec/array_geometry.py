@@ -1,4 +1,4 @@
-"""Uniform linear array geometry: steering phases, response vectors, weights.
+"""Uniform linear array geometry: steering phases, response vectors, coupling.
 
 Angles are accepted in degrees everywhere and converted to radians
 internally.  Antennas are indexed n = 0..N-1 and the phase reference is
@@ -21,7 +21,9 @@ class ArrayConfig:
     n_antennas : int
         Number of elements N, at least 2.
     spacing_over_wavelength : float
-        Element spacing d/lambda; default half wavelength.
+        Element spacing d/lambda in (0, 0.5]; default half wavelength.  Wider
+        spacing admits grating lobes: full coupling to directions of another
+        cosine, which the alignment labels would miss.
     """
 
     n_antennas: int
@@ -30,9 +32,10 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_antennas < 2:
             raise ValueError(f"n_antennas must be >= 2, got {self.n_antennas}")
-        if self.spacing_over_wavelength <= 0:
+        if not 0 < self.spacing_over_wavelength <= 0.5:
             raise ValueError(
-                f"spacing_over_wavelength must be > 0, got {self.spacing_over_wavelength}"
+                "spacing_over_wavelength must lie in (0, 0.5], as wider spacing creates "
+                f"grating lobes; got {self.spacing_over_wavelength}"
             )
 
 
@@ -55,15 +58,8 @@ def steering_phases(cfg: ArrayConfig, theta_deg):
 
 
 def array_response(cfg: ArrayConfig, theta_deg) -> np.ndarray:
-    """Unit-norm array response vector a(theta), entries (1/sqrt(N)) e^{j phase}."""
-    return np.exp(1j * steering_phases(cfg, theta_deg)) / np.sqrt(cfg.n_antennas)
-
-
-def steered_weights(cfg: ArrayConfig, theta_deg) -> np.ndarray:
-    """Phase-only beamforming weights aligned with theta_deg.
-
-    Each entry has magnitude 1/sqrt(N), so a(theta)^H w = 1 exactly.
-    """
+    """Unit-norm array response a(theta), entries (1/sqrt(N)) e^{j phase}; also
+    the full-array beam steered at theta."""
     return np.exp(1j * steering_phases(cfg, theta_deg)) / np.sqrt(cfg.n_antennas)
 
 

@@ -1,4 +1,4 @@
-"""Geometric multipath channel: sampling, path queries, text serialization.
+"""Geometric multipath channel: sampling and path queries.
 
 A realization holds L paths with distinct integer-degree departure angles
 in [1, 180] and circularly-symmetric complex Gaussian gains of unit total
@@ -110,20 +110,3 @@ def channel_stats(ch: ChannelRealization) -> ChannelStats:
     mask[ch.strongest_index] = False
     return ChannelStats(mean_gain=mean_all, mean_gain_excl_strongest=float(mags[mask].mean()))
 
-
-def channel_to_text(ch: ChannelRealization) -> str:
-    """One line per path: aod_deg, gain_re, gain_im (full precision)."""
-    lines = []
-    for p in ch.paths:
-        lines.append(f"{p.aod_deg!r} {p.gain.real!r} {p.gain.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
-def channel_from_text(text: str) -> ChannelRealization:
-    """Inverse of channel_to_text; strongest path is recomputed from gains."""
-    paths = []
-    for line in text.strip().splitlines():
-        aod, re, im = (float(v) for v in line.split())
-        paths.append(PathComponent(aod, complex(re, im)))
-    mags = [abs(p.gain) for p in paths]
-    return ChannelRealization(paths=tuple(paths), strongest_index=int(np.argmax(mags)))

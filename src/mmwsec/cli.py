@@ -13,18 +13,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .montecarlo import SweepSpec, compare_analytic, figure_preset, run_sweep
+from .montecarlo import (
+    ANALYTIC_STRATEGIES,
+    DEFAULT_AXIS_VALUES,
+    SweepSpec,
+    compare_analytic,
+    figure_preset,
+    run_sweep,
+)
 from .strategies import StrategyKind
 
-STRATEGY_NAMES = {
-    "conventional": StrategyKind.CONVENTIONAL,
-    "switched": StrategyKind.SWITCHED_ARRAY,
-    "random-path": StrategyKind.RANDOM_PATH,
-    "joint": StrategyKind.JOINT_PATH_ANTENNA,
-}
+STRATEGY_NAMES = {kind.value: kind for kind in StrategyKind}
 
 AXIS_NAMES = {
     "theta-e": "theta_e_deg",
@@ -33,35 +33,16 @@ AXIS_NAMES = {
     "paths": "n_paths",
 }
 
-DEFAULT_AXIS_VALUES = {
-    "theta_e_deg": tuple(float(t) for t in range(1, 181)),
-    "rho_e_db": tuple(float(r) for r in np.arange(0.0, 20.01, 2.5)),
-    "n_antennas": (16.0, 32.0, 64.0),
-    "n_paths": (4.0, 8.0, 12.0),
-}
-
 
 class CliError(Exception):
     """User-facing configuration error; message names the violated constraint."""
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--antennas", type=int, help="transmit antenna count N")
-    p.add_argument("--paths", type=int, help="channel path count L")
-    p.add_argument("--m-main", type=int, help="main-path antenna subset size M")
-    p.add_argument("--ls", type=int, help="secondary-path candidate pool size L_S")
-    p.add_argument("--rho-r-db", type=float, help="receiver gain-to-noise ratio (dB)")
-    p.add_argument("--rho-e-db", type=float, help="eavesdropper gain-to-noise ratio (dB)")
-    p.add_argument("--theta-r", type=float, help="receiver strongest-path angle (deg)")
-    p.add_argument("--theta-e", type=float, help="eavesdropper angle (deg)")
-    p.add_argument("--symbols", type=int, help="symbols per sweep point")
-    p.add_argument("--ensemble", type=int, help="channel realizations per point")
-    p.add_argument("--seed", type=int, help="base random seed")
-    p.add_argument(
-        "--strategies",
-        help="comma-separated strategy list: " + ",".join(STRATEGY_NAMES) + " or 'all'",
-    )
-    p.add_argument("--spacing", type=float, help="element spacing d/lambda")
+    for key, _, conv, help_text in _FIELDS:
+        # strategies stays a string here so a bad list exits through CliError
+        kind = conv if conv in (int, float) else None
+        p.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
     p.add_argument("--config", help="flat key=value config file ('#' comments)")
     p.add_argument("--output", "-o", default="results.csv", help="output CSV path")
     p.add_argument(
@@ -129,60 +110,54 @@ def load_config_file(path: str) -> dict[str, str]:
         values[key] = val
     return values
 
-# config-file key -> (SweepSpec-ish field, parser)
-_CONFIG_KEYS = {
-    "antennas": ("n_antennas", int),
-    "paths": ("n_paths", int),
-    "m_main": ("m_main", int),
-    "ls": ("l_s", int),
-    "rho_r_db": ("rho_r_db", float),
-    "rho_e_db": ("rho_e_db", float),
-    "theta_r": ("theta_r_deg", float),
-    "theta_e": ("theta_e_deg", float),
-    "symbols": ("symbols_per_point", int),
-    "ensemble": ("ensemble", int),
-    "seed": ("base_seed", int),
-    "spacing": ("spacing_over_wavelength", float),
-    "strategies": ("strategies", parse_strategies),
-}
+
+# One row per sweep setting: (config key, which is also the flag's argparse
+# dest, SweepSpec field, type, help).  Rows are in `.meta` order.
+_FIELDS = (
+    (
+        "strategies",
+        "strategies",
+        parse_strategies,
+        "comma-separated strategy list: " + ",".join(STRATEGY_NAMES) + " or 'all'",
+    ),
+    ("antennas", "n_antennas", int, "transmit antenna count N"),
+    ("paths", "n_paths", int, "channel path count L"),
+    ("m_main", "m_main", int, "main-path antenna subset size M"),
+    ("ls", "l_s", int, "secondary-path candidate pool size L_S"),
+    ("rho_r_db", "rho_r_db", float, "receiver gain-to-noise ratio (dB)"),
+    ("rho_e_db", "rho_e_db", float, "eavesdropper gain-to-noise ratio (dB)"),
+    ("theta_r", "theta_r_deg", float, "receiver strongest-path angle (deg)"),
+    ("theta_e", "theta_e_deg", float, "eavesdropper angle (deg)"),
+    ("spacing", "spacing_over_wavelength", float, "element spacing d/lambda"),
+    ("symbols", "symbols_per_point", int, "symbols per sweep point"),
+    ("ensemble", "ensemble", int, "channel realizations per point"),
+    ("seed", "base_seed", int, "base random seed"),
+)
+
+
+def _apply(spec: SweepSpec, values: dict, source: str) -> SweepSpec:
+    """Set every table field whose key has a value in `values`."""
+    updates = {}
+    for key, field, conv, _ in _FIELDS:
+        if values.get(key) is not None:
+            try:
+                updates[field] = conv(values[key])
+            except ValueError as e:
+                raise CliError(f"{source} {key}: {e}") from e
+    return replace(spec, **updates) if updates else spec
 
 
 def apply_config_file(spec: SweepSpec, path: str) -> SweepSpec:
-    updates = {}
-    for key, val in load_config_file(path).items():
-        if key not in _CONFIG_KEYS:
-            raise CliError(f"unknown config key {key!r}; valid keys: {sorted(_CONFIG_KEYS)}")
-        field, conv = _CONFIG_KEYS[key]
-        try:
-            updates[field] = conv(val)
-        except ValueError as e:
-            raise CliError(f"config key {key}: {e}") from e
-    return replace(spec, **updates) if updates else spec
+    values = load_config_file(path)
+    keys = sorted(key for key, *_ in _FIELDS)
+    for key in values:
+        if key not in keys:
+            raise CliError(f"unknown config key {key!r}; valid keys: {keys}")
+    return _apply(spec, values, "config key")
 
 
 def apply_flags(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
-    updates = {}
-    pairs = [
-        ("antennas", "n_antennas"),
-        ("paths", "n_paths"),
-        ("m_main", "m_main"),
-        ("ls", "l_s"),
-        ("rho_r_db", "rho_r_db"),
-        ("rho_e_db", "rho_e_db"),
-        ("theta_r", "theta_r_deg"),
-        ("theta_e", "theta_e_deg"),
-        ("symbols", "symbols_per_point"),
-        ("ensemble", "ensemble"),
-        ("seed", "base_seed"),
-        ("spacing", "spacing_over_wavelength"),
-    ]
-    for flag, field in pairs:
-        val = getattr(args, flag)
-        if val is not None:
-            updates[field] = val
-    if args.strategies is not None:
-        updates["strategies"] = parse_strategies(args.strategies)
-    return replace(spec, **updates) if updates else spec
+    return _apply(spec, vars(args), "flag")
 
 
 def validate_spec(spec: SweepSpec):
@@ -208,25 +183,20 @@ def validate_spec(spec: SweepSpec):
 
 
 def spec_metadata(spec: SweepSpec) -> dict[str, str]:
-    return {
+    meta = {
         "tool": "mmwsec",
         "version": __version__,
         "strategies": ",".join(s.value for s in spec.strategies),
         "axis": spec.axis,
         "axis_values": ",".join(f"{v:g}" for v in spec.axis_values),
-        "n_antennas": str(spec.n_antennas),
-        "n_paths": str(spec.n_paths),
-        "m_main": "auto" if spec.m_main is None else str(spec.m_main),
-        "l_s": str(spec.l_s),
-        "rho_r_db": f"{spec.rho_r_db:g}",
-        "rho_e_db": f"{spec.rho_e_db:g}",
-        "theta_r_deg": f"{spec.theta_r_deg:g}",
-        "theta_e_deg": f"{spec.theta_e_deg:g}",
-        "spacing_over_wavelength": f"{spec.spacing_over_wavelength:g}",
-        "symbols_per_point": str(spec.symbols_per_point),
-        "ensemble": str(spec.ensemble),
-        "base_seed": str(spec.base_seed),
     }
+    for _, field, conv, _ in _FIELDS:  # strategies, written above, is neither
+        value = getattr(spec, field)
+        if conv is float:
+            meta[field] = f"{value:g}"
+        elif conv is int:
+            meta[field] = "auto" if value is None else str(value)
+    return meta
 
 
 def write_outputs(table, spec: SweepSpec, output: str, verbose: bool):
@@ -248,11 +218,7 @@ def _run_one(spec: SweepSpec, args: argparse.Namespace, output: str):
     table = run_sweep(spec)
     write_outputs(table, spec, output, args.verbose)
     if args.analytic:
-        analytic_strats = tuple(
-            s
-            for s in spec.strategies
-            if s in (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
-        )
+        analytic_strats = tuple(s for s in spec.strategies if s in ANALYTIC_STRATEGIES)
         if not analytic_strats:
             raise CliError(
                 "--analytic requires random-path or joint among the strategies"

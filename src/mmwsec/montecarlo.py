@@ -24,6 +24,7 @@ from .analysis import (
     alignment_mixture_snr,
     db_to_linear,
     estimate_joint_moments,
+    joint_sidelobe_aods,
     linear_to_db,
     location_mixture_snr,
     receiver_snr,
@@ -36,12 +37,21 @@ from .analysis import (
 )
 from .array_geometry import ArrayConfig
 from .channel import ChannelRealization, channel_stats, sample_channel
-from .signal_engine import COS_ALIGN_TOL
+from .signal_engine import centered_indices, cos_aligned, dirichlet_B, phase_diff
 from .strategies import StrategyKind, StrategyParams, secondary_pool
 
-AXES = ("theta_e_deg", "rho_e_db", "n_antennas", "n_paths")
+DEFAULT_AXIS_VALUES = {
+    "theta_e_deg": tuple(float(t) for t in range(1, 181)),
+    "rho_e_db": tuple(float(r) for r in np.arange(0.0, 20.01, 2.5)),
+    "n_antennas": (16.0, 32.0, 64.0),
+    "n_paths": (4.0, 8.0, 12.0),
+}
+AXES = tuple(DEFAULT_AXIS_VALUES)
 
 LABEL_NONE, LABEL_MAIN, LABEL_SECONDARY = 0, 1, 2
+
+# the strategies with closed forms (`compare_analytic`)
+ANALYTIC_STRATEGIES = (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
 
 
 @dataclass(frozen=True)
@@ -124,14 +134,9 @@ def figure_preset(fig_id: int) -> SweepSpec:
     3: secrecy vs rho_E at theta_E = 40 deg (on the main path), N=32, L=12.
     4: secrecy vs rho_E at theta_E = 55 deg (off the main path), N=32, L=12.
     """
-    all_strats = (
-        StrategyKind.CONVENTIONAL,
-        StrategyKind.SWITCHED_ARRAY,
-        StrategyKind.RANDOM_PATH,
-        StrategyKind.JOINT_PATH_ANTENNA,
-    )
-    theta_axis = tuple(float(t) for t in range(1, 181))
-    rho_axis = tuple(float(r) for r in np.arange(0.0, 20.01, 2.5))
+    all_strats = tuple(StrategyKind)
+    theta_axis = DEFAULT_AXIS_VALUES["theta_e_deg"]
+    rho_axis = DEFAULT_AXIS_VALUES["rho_e_db"]
     if fig_id == 1:
         return SweepSpec(
             strategies=all_strats,
@@ -172,24 +177,6 @@ def figure_preset(fig_id: int) -> SweepSpec:
 # vectorized symbol-block kernels
 
 
-def _centered(n: int) -> np.ndarray:
-    return (n - 1) / 2.0 - np.arange(n)
-
-
-def _phase_diff(theta_x_deg, theta_e_deg, dow):
-    """gamma(theta_x, theta_e) = 2 pi (d/lambda) (cos x - cos e)."""
-    return (
-        2.0
-        * np.pi
-        * dow
-        * (np.cos(np.deg2rad(theta_x_deg)) - np.cos(np.deg2rad(theta_e_deg)))
-    )
-
-
-def _aligned(theta_a_deg, theta_b_deg) -> bool:
-    return abs(np.cos(np.deg2rad(theta_a_deg)) - np.cos(np.deg2rad(theta_b_deg))) < COS_ALIGN_TOL
-
-
 def _random_subsets(rng, K, n, m) -> np.ndarray:
     """K uniformly random m-subsets of range(n) as a boolean (K, n) mask."""
     order = np.argsort(rng.random((K, n)), axis=1)
@@ -225,28 +212,27 @@ def simulate_streams(
     """Simulate K symbols of one strategy against many observation angles.
 
     Equivalent to per-symbol plan generation plus the scalar gain
-    operations, restructured around array arithmetic.  The eavesdropper
-    carries unit channel gain.
+    operations of `signal_engine`, restructured around array arithmetic.
+    The eavesdropper carries unit channel gain.
     """
     n = cfg.n_antennas
     L = ch.n_paths
-    dow = cfg.spacing_over_wavelength
     thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
     T = thetas.size
-    c = _centered(n)
+    c = centered_indices(n)
     gains = ch.gains
     alpha_s = gains[ch.strongest_index]
     theta_s = ch.strongest_aod_deg
     root_nl = math.sqrt(n / L)
+    labels = np.zeros((T, K), dtype=np.int8)
 
     if kind is StrategyKind.CONVENTIONAL:
         recv = np.full(K, np.conj(alpha_s) * root_nl, dtype=complex)
         eaves = np.empty((T, K), dtype=complex)
-        labels = np.zeros((T, K), dtype=np.int8)
         for t, th in enumerate(thetas):
-            coupling = np.exp(1j * c * _phase_diff(theta_s, th, dow)).sum() / n
+            coupling = np.exp(1j * c * phase_diff(theta_s, th, cfg)).sum() / n
             eaves[t] = root_nl * coupling
-            if _aligned(th, theta_s):
+            if cos_aligned(th, theta_s):
                 labels[t] = LABEL_MAIN
         return SymbolStreams(recv, eaves, labels)
 
@@ -255,11 +241,10 @@ def simulate_streams(
         mask = _random_subsets(rng, K, n, m)
         recv = np.full(K, np.conj(alpha_s) * root_nl * math.sqrt(m / n), dtype=complex)
         eaves = np.empty((T, K), dtype=complex)
-        labels = np.zeros((T, K), dtype=np.int8)
         for t, th in enumerate(thetas):
-            v = np.exp(1j * c * _phase_diff(theta_s, th, dow)) / math.sqrt(n * m)
+            v = np.exp(1j * c * phase_diff(theta_s, th, cfg)) / math.sqrt(n * m)
             eaves[t] = root_nl * (mask @ v)
-            if _aligned(th, theta_s):
+            if cos_aligned(th, theta_s):
                 labels[t] = LABEL_MAIN
         return SymbolStreams(recv, eaves, labels)
 
@@ -267,18 +252,9 @@ def simulate_streams(
         li = rng.integers(L, size=K)
         recv = np.conj(gains[li]) * root_nl
         # per (angle, path) coupling B / sqrt(LN)
-        aods = ch.aods_deg
-        bmat = np.empty((T, L))
-        amat = np.zeros((T, L), dtype=bool)
-        for t, th in enumerate(thetas):
-            for l, tl in enumerate(aods):
-                if _aligned(th, tl):
-                    bmat[t, l] = n
-                    amat[t, l] = True
-                else:
-                    bmat[t, l] = np.exp(
-                        -1j * c * _phase_diff(th, tl, dow)
-                    ).sum().real
+        pairs = [(th, tl) for th in thetas for tl in ch.aods_deg]
+        bmat = np.array([dirichlet_B(th, tl, cfg) for th, tl in pairs]).reshape(T, L)
+        amat = np.array([cos_aligned(th, tl) for th, tl in pairs]).reshape(T, L)
         eaves = (bmat[:, li] / math.sqrt(L * n)).astype(complex)
         labels = np.where(amat[:, li], LABEL_MAIN, LABEL_NONE).astype(np.int8)
         return SymbolStreams(recv, eaves, labels)
@@ -299,11 +275,10 @@ def simulate_streams(
         pool_aods = ch.aods_deg[pool]
         # receiver cross-beam sums per pool angle
         e_is = np.exp(
-            1j * np.outer(c, _phase_diff(pool_aods, theta_s, dow))
+            1j * np.outer(c, phase_diff(pool_aods, theta_s, cfg))
         )  # (n, P): secondary-vs-main phasors
         recv = np.empty(K, dtype=complex)
         eaves = np.empty((T, K), dtype=complex)
-        labels = np.zeros((T, K), dtype=np.int8)
         alpha_i = gains[sec_paths]
         for p in range(pool.size):
             sel = pidx == p
@@ -314,19 +289,19 @@ def simulate_streams(
                 np.conj(alpha_s) * m + np.conj(alpha_i[sel]) * (n - m) + beta_r
             )
         for t, th in enumerate(thetas):
-            v_main = np.exp(1j * c * _phase_diff(theta_s, th, dow))
+            v_main = np.exp(1j * c * phase_diff(theta_s, th, cfg))
             part_main = mask_m @ v_main
-            v_sec = np.exp(1j * np.outer(c, _phase_diff(pool_aods, th, dow)))  # (n, P)
+            v_sec = np.exp(1j * np.outer(c, phase_diff(pool_aods, th, cfg)))  # (n, P)
             part_sec = np.empty(K, dtype=complex)
             for p in range(pool.size):
                 sel = pidx == p
                 part_sec[sel] = mask_l[sel] @ v_sec[:, p]
             eaves[t] = scale * (part_main + part_sec)
-            if _aligned(th, theta_s):
+            if cos_aligned(th, theta_s):
                 labels[t] = LABEL_MAIN
             else:
                 for p in range(pool.size):
-                    if _aligned(th, pool_aods[p]):
+                    if cos_aligned(th, pool_aods[p]):
                         labels[t, pidx == p] = LABEL_SECONDARY
         return SymbolStreams(recv, eaves, labels)
 
@@ -349,24 +324,6 @@ def receiver_reference_gain(ch: ChannelRealization, kind: StrategyKind) -> float
     return channel_stats(ch).mean_gain
 
 
-def _joint_covered(ch: ChannelRealization, l_s: int, theta_e_deg: float) -> bool:
-    """True if theta_e coincides with one of the joint scheme's transmit angles."""
-    angles = [ch.strongest_aod_deg] + [
-        ch.paths[i].aod_deg for i in secondary_pool(ch, l_s)
-    ]
-    return any(_aligned(theta_e_deg, a) for a in angles)
-
-
-def _joint_sidelobe_aods(ch: ChannelRealization, l_s: int) -> list[float]:
-    """Path angles the joint scheme never steers at (eavesdropper sidelobe spots)."""
-    pool = set(secondary_pool(ch, l_s))
-    return [
-        p.aod_deg
-        for i, p in enumerate(ch.paths)
-        if i != ch.strongest_index and i not in pool
-    ]
-
-
 def _channel_rng(spec: SweepSpec, n_paths: int, ens: int) -> np.random.Generator:
     # axis-independent for N / theta / rho axes so ensemble members pair up
     ss = np.random.SeedSequence([spec.base_seed, 0xC0FFEE, n_paths, ens])
@@ -380,22 +337,18 @@ def _plan_rng(spec: SweepSpec, strat: StrategyKind, axis_idx: int, ens: int) -> 
     return np.random.default_rng(ss)
 
 
-def _resolve_point(spec: SweepSpec, value: float) -> dict:
-    p = {
-        "n_antennas": spec.n_antennas,
-        "n_paths": spec.n_paths,
-        "theta_e_deg": spec.theta_e_deg,
-        "rho_e_db": spec.rho_e_db,
-    }
-    if spec.axis == "n_antennas":
-        p["n_antennas"] = int(value)
-    elif spec.axis == "n_paths":
-        p["n_paths"] = int(value)
-    elif spec.axis == "theta_e_deg":
-        p["theta_e_deg"] = float(value)
-    else:
-        p["rho_e_db"] = float(value)
-    return p
+@dataclass(frozen=True)
+class _Point:
+    """One applicable (strategy, axis value) point; rho_r and rho_e are linear."""
+
+    strategy: StrategyKind
+    cfg: ArrayConfig
+    n_paths: int
+    m_main: int
+    l_s: int
+    theta_e_deg: float
+    rho_r: float
+    rho_e: float
 
 
 def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n_paths: int):
@@ -411,6 +364,69 @@ def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n
     return True
 
 
+def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
+    """The sweep loop shared by `run_sweep` and `compare_analytic`.
+
+    evaluate(point, ch, rng) returns one channel's linear (snr_r, snr_e);
+    rng is the plan stream of that (strategy, axis value, channel).
+    """
+    rows = []
+    rho_r = db_to_linear(spec.rho_r_db)
+    for strat in spec.strategies:
+        for axis_idx, value in enumerate(spec.axis_values):
+            p = {
+                "n_antennas": spec.n_antennas,
+                "n_paths": spec.n_paths,
+                "theta_e_deg": spec.theta_e_deg,
+                "rho_e_db": spec.rho_e_db,
+            }
+            p[spec.axis] = int(value) if spec.axis in ("n_antennas", "n_paths") else float(value)
+            n_ant, n_pth = p["n_antennas"], p["n_paths"]
+            if not _strategy_applicable(strat, spec, n_ant, n_pth):
+                rows.append(
+                    SweepRow(strat, spec.axis, float(value), None, None, None, None, "inapplicable")
+                )
+                continue
+            pt = _Point(
+                strat,
+                ArrayConfig(n_ant, spec.spacing_over_wavelength),
+                n_pth,
+                spec.resolved_m(n_ant),
+                min(spec.l_s, n_pth),
+                p["theta_e_deg"],
+                rho_r,
+                db_to_linear(p["rho_e_db"]),
+            )
+            rates = np.empty(spec.ensemble)
+            snr_r_acc = np.empty(spec.ensemble)
+            snr_e_acc = np.empty(spec.ensemble)
+            for ens in range(spec.ensemble):
+                ch = sample_channel(n_pth, spec.theta_r_deg, _channel_rng(spec, n_pth, ens))
+                snr_r, snr_e = evaluate(pt, ch, _plan_rng(spec, strat, axis_idx, ens))
+                rates[ens] = secrecy_rate(SnrPair(snr_r, snr_e))
+                snr_r_acc[ens] = snr_r
+                snr_e_acc[ens] = snr_e
+            stderr = (
+                float(rates.std(ddof=1) / math.sqrt(spec.ensemble))
+                if spec.ensemble > 1
+                else 0.0
+            )
+            rows.append(
+                SweepRow(
+                    strat,
+                    spec.axis,
+                    float(value),
+                    linear_to_db(float(snr_r_acc.mean())),
+                    linear_to_db(float(snr_e_acc.mean())),
+                    float(rates.mean()),
+                    stderr,
+                    "ok",
+                )
+            )
+    rows.sort(key=lambda r: (r.strategy.value, r.axis_value))
+    return ResultTable(rows=rows, spec=spec)
+
+
 def run_sweep(spec: SweepSpec) -> ResultTable:
     """Monte-Carlo evaluation of every (strategy, axis value) sweep point.
 
@@ -419,170 +435,84 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     error of the rate.  Infeasible combinations yield rows flagged
     inapplicable.
     """
-    rows = []
-    rho_r = db_to_linear(spec.rho_r_db)
-    for strat in spec.strategies:
-        for axis_idx, value in enumerate(spec.axis_values):
-            p = _resolve_point(spec, value)
-            n_ant, n_pth = p["n_antennas"], p["n_paths"]
-            if not _strategy_applicable(strat, spec, n_ant, n_pth):
-                rows.append(
-                    SweepRow(strat, spec.axis, float(value), None, None, None, None, "inapplicable")
-                )
-                continue
-            cfg = ArrayConfig(n_ant, spec.spacing_over_wavelength)
-            rho_e = db_to_linear(p["rho_e_db"])
-            m_main = spec.resolved_m(n_ant)
-            l_s = min(spec.l_s, n_pth)
-            rates = np.empty(spec.ensemble)
-            snr_r_acc = np.empty(spec.ensemble)
-            snr_e_acc = np.empty(spec.ensemble)
-            for ens in range(spec.ensemble):
-                ch = sample_channel(n_pth, spec.theta_r_deg, _channel_rng(spec, n_pth, ens))
-                theta_e = p["theta_e_deg"]
-                # Under the pessimistic random-location model, an eavesdropper
-                # sitting on a transmit angle of the joint scheme mixes mainlobe
-                # interception (probability 2/L) with sidelobe observation at
-                # the non-transmitted path angles; those angles get their own
-                # simulated gain streams.
-                joint_mix = strat is StrategyKind.JOINT_PATH_ANTENNA and _joint_covered(
-                    ch, l_s, theta_e
-                )
-                theta_list = [theta_e]
-                if joint_mix:
-                    theta_list += _joint_sidelobe_aods(ch, l_s)
-                streams = simulate_streams(
-                    ch,
-                    cfg,
-                    strat,
-                    m_main,
-                    l_s,
-                    theta_list,
-                    spec.symbols_per_point,
-                    _plan_rng(spec, strat, axis_idx, ens),
-                )
-                sigma_r = receiver_reference_gain(ch, strat) ** 2 / rho_r
-                snr_r = receiver_snr(streams.recv, sigma_r)
-                if joint_mix:
-                    aligned = streams.labels[0] != LABEL_NONE
-                    snr_e = location_mixture_snr(
-                        streams.eaves[0][aligned],
-                        list(streams.eaves[1:]),
-                        n_pth,
-                        1.0 / rho_e,
-                    )
-                else:
-                    snr_e = alignment_mixture_snr(
-                        streams.eaves[0], streams.labels[0], 1.0 / rho_e
-                    )
-                rates[ens] = secrecy_rate(SnrPair(snr_r, snr_e))
-                snr_r_acc[ens] = snr_r
-                snr_e_acc[ens] = snr_e
-            stderr = (
-                float(rates.std(ddof=1) / math.sqrt(spec.ensemble))
-                if spec.ensemble > 1
-                else 0.0
+
+    def evaluate(pt: _Point, ch: ChannelRealization, rng: np.random.Generator):
+        # Under the pessimistic random-location model, an eavesdropper
+        # sitting on a transmit angle of the joint scheme mixes mainlobe
+        # interception (probability 2/L) with sidelobe observation at
+        # the non-transmitted path angles; those angles get their own
+        # simulated gain streams.
+        joint_mix, theta_list = False, [pt.theta_e_deg]
+        if pt.strategy is StrategyKind.JOINT_PATH_ANTENNA:
+            joint_mix, side = joint_sidelobe_aods(ch, pt.l_s, pt.theta_e_deg)
+            if joint_mix:
+                theta_list += side
+        streams = simulate_streams(
+            ch, pt.cfg, pt.strategy, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, rng
+        )
+        sigma_r = receiver_reference_gain(ch, pt.strategy) ** 2 / pt.rho_r
+        snr_r = receiver_snr(streams.recv, sigma_r)
+        if joint_mix:
+            aligned = streams.labels[0] != LABEL_NONE
+            snr_e = location_mixture_snr(
+                streams.eaves[0][aligned], list(streams.eaves[1:]), pt.n_paths, 1.0 / pt.rho_e
             )
-            rows.append(
-                SweepRow(
-                    strat,
-                    spec.axis,
-                    float(value),
-                    linear_to_db(float(snr_r_acc.mean())),
-                    linear_to_db(float(snr_e_acc.mean())),
-                    float(rates.mean()),
-                    stderr,
-                    "ok",
-                )
-            )
-    rows.sort(key=lambda r: (r.strategy.value, r.axis_value))
-    return ResultTable(rows=rows, spec=spec)
+        else:
+            snr_e = alignment_mixture_snr(streams.eaves[0], streams.labels[0], 1.0 / pt.rho_e)
+        return snr_r, snr_e
+
+    return _sweep(spec, evaluate)
 
 
 def compare_analytic(spec: SweepSpec, moment_draws: int = 4000) -> ResultTable:
     """Closed-form rates on the same grid, ensemble-averaged over channels.
 
     Supports the two randomized techniques only; the beta moments of the
-    joint technique are estimated over subset draws per channel.
+    joint technique are estimated over subset draws per channel.  The
+    random-path eavesdropper SNR assumes an eavesdropper on a path angle
+    (`snr_e_random_path` always carries the 1/L mainlobe term), so off the
+    channel's path angles its column is not comparable to `run_sweep`'s,
+    which intercepts the mainlobe only where theta_E is a path angle.
     """
-    supported = (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
     for strat in spec.strategies:
-        if strat not in supported:
-            raise ValueError(f"compare_analytic supports {supported}, got {strat}")
-    rows = []
-    rho_r = db_to_linear(spec.rho_r_db)
-    for strat in spec.strategies:
-        for axis_idx, value in enumerate(spec.axis_values):
-            p = _resolve_point(spec, value)
-            n_ant, n_pth = p["n_antennas"], p["n_paths"]
-            if not _strategy_applicable(strat, spec, n_ant, n_pth):
-                rows.append(
-                    SweepRow(strat, spec.axis, float(value), None, None, None, None, "inapplicable")
-                )
-                continue
-            cfg = ArrayConfig(n_ant, spec.spacing_over_wavelength)
-            rho_e = db_to_linear(p["rho_e_db"])
-            m_main = spec.resolved_m(n_ant)
-            l_s = min(spec.l_s, n_pth)
-            rates = np.empty(spec.ensemble)
-            snr_r_acc = np.empty(spec.ensemble)
-            snr_e_acc = np.empty(spec.ensemble)
-            for ens in range(spec.ensemble):
-                ch = sample_channel(n_pth, spec.theta_r_deg, _channel_rng(spec, n_pth, ens))
-                if strat is StrategyKind.RANDOM_PATH:
-                    snr_r = snr_r_random_path(n_ant, n_pth, rho_r)
-                    snr_e = snr_e_random_path(
-                        n_ant, n_pth, rho_e, p["theta_e_deg"], ch.aods_deg, cfg
-                    )
-                else:
-                    stats = channel_stats(ch)
-                    sigma_r = stats.mean_gain**2 / rho_r
-                    params = StrategyParams(m_main, l_s)
-                    moments = estimate_joint_moments(
-                        ch,
-                        cfg,
-                        params,
-                        p["theta_e_deg"],
-                        _plan_rng(spec, strat, axis_idx, ens),
-                        n_draws=moment_draws,
-                    )
-                    snr_r = snr_r_joint(
-                        n_ant,
-                        n_pth,
-                        m_main,
-                        abs(ch.paths[ch.strongest_index].gain),
-                        stats.mean_gain_excl_strongest,
-                        abs(moments.beta_r_mean) ** 2,
-                        sigma_r,
-                    )
-                    snr_e = snr_e_joint(
-                        n_ant,
-                        n_pth,
-                        m_main,
-                        rho_e,
-                        moments.beta_e_hat_mean_sq,
-                        moments.beta_e_mean_sq,
-                        moments.beta_e_var,
-                    )
-                rates[ens] = secrecy_rate(SnrPair(snr_r, snr_e))
-                snr_r_acc[ens] = snr_r
-                snr_e_acc[ens] = snr_e
-            stderr = (
-                float(rates.std(ddof=1) / math.sqrt(spec.ensemble))
-                if spec.ensemble > 1
-                else 0.0
+        if strat not in ANALYTIC_STRATEGIES:
+            raise ValueError(f"compare_analytic supports {ANALYTIC_STRATEGIES}, got {strat}")
+
+    def evaluate(pt: _Point, ch: ChannelRealization, rng: np.random.Generator):
+        n_ant = pt.cfg.n_antennas
+        if pt.strategy is StrategyKind.RANDOM_PATH:
+            snr_r = snr_r_random_path(n_ant, pt.n_paths, pt.rho_r)
+            snr_e = snr_e_random_path(
+                n_ant, pt.n_paths, pt.rho_e, pt.theta_e_deg, ch.aods_deg, pt.cfg
             )
-            rows.append(
-                SweepRow(
-                    strat,
-                    spec.axis,
-                    float(value),
-                    linear_to_db(float(snr_r_acc.mean())),
-                    linear_to_db(float(snr_e_acc.mean())),
-                    float(rates.mean()),
-                    stderr,
-                    "ok",
-                )
-            )
-    rows.sort(key=lambda r: (r.strategy.value, r.axis_value))
-    return ResultTable(rows=rows, spec=spec)
+            return snr_r, snr_e
+        stats = channel_stats(ch)
+        moments = estimate_joint_moments(
+            ch,
+            pt.cfg,
+            StrategyParams(pt.m_main, pt.l_s),
+            pt.theta_e_deg,
+            rng,
+            n_draws=moment_draws,
+        )
+        snr_r = snr_r_joint(
+            n_ant,
+            pt.n_paths,
+            pt.m_main,
+            abs(ch.paths[ch.strongest_index].gain),
+            stats.mean_gain_excl_strongest,
+            abs(moments.beta_r_mean) ** 2,
+            stats.mean_gain**2 / pt.rho_r,
+        )
+        snr_e = snr_e_joint(
+            n_ant,
+            pt.n_paths,
+            pt.m_main,
+            pt.rho_e,
+            moments.beta_e_hat_mean_sq,
+            moments.beta_e_mean_sq,
+            moments.beta_e_var,
+        )
+        return snr_r, snr_e
+
+    return _sweep(spec, evaluate)

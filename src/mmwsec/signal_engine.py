@@ -9,7 +9,10 @@ Two views of every received gain exist side by side: the direct inner
 product h^H f, and the per-path decomposition into coherent terms plus
 the interference sums beta_R / beta_E / beta_E_hat.  The decomposed forms
 are exact restrictions of the direct product to the steered paths, which
-the tests exploit as an equivalence oracle.
+the tests exploit as an equivalence oracle.  This per-symbol engine is
+also the reference for the vectorized kernels in `montecarlo`, which
+share its geometry helpers (centered indices, gamma, cosine alignment,
+the kernel B).
 """
 
 from __future__ import annotations
@@ -43,19 +46,10 @@ class ObserverKind(enum.Enum):
 class ObserverSpec:
     kind: ObserverKind
     aod_deg: float
-    rho_db: float
 
     def __post_init__(self):
-        if not np.isfinite(self.rho_db):
-            raise ValueError("rho_db must be finite")
         if not 1.0 <= self.aod_deg <= 180.0:
             raise ValueError(f"aod_deg must lie in [1, 180], got {self.aod_deg}")
-
-
-@dataclass(frozen=True)
-class SignalSample:
-    symbol_index: int
-    effective_gain: complex
 
 
 def cos_aligned(theta_a_deg, theta_b_deg) -> bool:
@@ -63,13 +57,25 @@ def cos_aligned(theta_a_deg, theta_b_deg) -> bool:
     return abs(np.cos(np.deg2rad(theta_a_deg)) - np.cos(np.deg2rad(theta_b_deg))) < COS_ALIGN_TOL
 
 
-def _centered_indices(n: int) -> np.ndarray:
+def centered_indices(n: int) -> np.ndarray:
+    """Element positions (N-1)/2 - n about the array center, n = 0..N-1."""
     return (n - 1) / 2.0 - np.arange(n)
+
+
+def phase_diff(theta_x_deg, theta_e_deg, cfg: ArrayConfig):
+    """gamma(theta_x, theta_e) = 2 pi (d/lambda) (cos theta_x - cos theta_e);
+    either angle may be an array."""
+    return (
+        2.0
+        * np.pi
+        * cfg.spacing_over_wavelength
+        * (np.cos(np.deg2rad(theta_x_deg)) - np.cos(np.deg2rad(theta_e_deg)))
+    )
 
 
 def dirichlet_B(theta_e_deg, theta_l_deg, cfg: ArrayConfig) -> float:
     """Interception kernel sum_n exp(-j ((N-1)/2 - n) psi) with
-    psi = 2 pi (d/lambda) (cos theta_e - cos theta_l).
+    psi = gamma(theta_e, theta_l).
 
     Real by conjugate pairing of the terms; equals N exactly at cosine
     alignment (handled without a sin/sin division).
@@ -77,13 +83,7 @@ def dirichlet_B(theta_e_deg, theta_l_deg, cfg: ArrayConfig) -> float:
     n = cfg.n_antennas
     if cos_aligned(theta_e_deg, theta_l_deg):
         return float(n)
-    psi = (
-        2.0
-        * np.pi
-        * cfg.spacing_over_wavelength
-        * (np.cos(np.deg2rad(theta_e_deg)) - np.cos(np.deg2rad(theta_l_deg)))
-    )
-    total = np.exp(-1j * _centered_indices(n) * psi).sum()
+    total = np.exp(-1j * centered_indices(n) * phase_diff(theta_e_deg, theta_l_deg, cfg)).sum()
     return float(total.real)
 
 
@@ -129,15 +129,6 @@ def _require_joint(plan: SymbolPlan):
         raise ValueError(f"operation requires a joint plan, got {plan.kind}")
 
 
-def _gamma(theta_x_deg, theta_e_deg, cfg: ArrayConfig) -> float:
-    return (
-        2.0
-        * np.pi
-        * cfg.spacing_over_wavelength
-        * (np.cos(np.deg2rad(theta_x_deg)) - np.cos(np.deg2rad(theta_e_deg)))
-    )
-
-
 def beta_r_term(ch: ChannelRealization, plan: SymbolPlan, cfg: ArrayConfig) -> complex:
     """Receiver-side cross-beam interference of the joint technique.
 
@@ -147,11 +138,11 @@ def beta_r_term(ch: ChannelRealization, plan: SymbolPlan, cfg: ArrayConfig) -> c
     schedule knowledge.
     """
     _require_joint(plan)
-    c = _centered_indices(cfg.n_antennas)
+    c = centered_indices(cfg.n_antennas)
     alpha_s = ch.paths[plan.main_path_index].gain
     alpha_i = ch.paths[plan.secondary_path_index].gain
-    g_is = _gamma(plan.secondary_aod_deg, plan.main_aod_deg, cfg)
-    g_si = _gamma(plan.main_aod_deg, plan.secondary_aod_deg, cfg)
+    g_is = phase_diff(plan.secondary_aod_deg, plan.main_aod_deg, cfg)
+    g_si = phase_diff(plan.main_aod_deg, plan.secondary_aod_deg, cfg)
     term_sec = np.conj(alpha_s) * np.exp(1j * c[plan.secondary_set] * g_is).sum()
     term_main = np.conj(alpha_i) * np.exp(1j * c[plan.main_set] * g_si).sum()
     return complex(term_sec + term_main)
@@ -165,9 +156,9 @@ def beta_e_term(plan: SymbolPlan, theta_e_deg, cfg: ArrayConfig) -> complex:
     gain exactly.
     """
     _require_joint(plan)
-    c = _centered_indices(cfg.n_antennas)
-    g_se = _gamma(plan.main_aod_deg, theta_e_deg, cfg)
-    g_ie = _gamma(plan.secondary_aod_deg, theta_e_deg, cfg)
+    c = centered_indices(cfg.n_antennas)
+    g_se = phase_diff(plan.main_aod_deg, theta_e_deg, cfg)
+    g_ie = phase_diff(plan.secondary_aod_deg, theta_e_deg, cfg)
     total = (
         np.exp(1j * c[plan.main_set] * g_se).sum()
         + np.exp(1j * c[plan.secondary_set] * g_ie).sum()
@@ -185,14 +176,14 @@ def beta_e_hat_term(plan: SymbolPlan, theta_e_deg, cfg: ArrayConfig) -> complex:
     gain.
     """
     _require_joint(plan)
-    c = _centered_indices(cfg.n_antennas)
+    c = centered_indices(cfg.n_antennas)
     m = len(plan.main_set)
     n = cfg.n_antennas
     if cos_aligned(theta_e_deg, plan.main_aod_deg):
-        g = _gamma(plan.secondary_aod_deg, theta_e_deg, cfg)
+        g = phase_diff(plan.secondary_aod_deg, theta_e_deg, cfg)
         return complex(m + np.exp(1j * c[plan.secondary_set] * g).sum())
     if cos_aligned(theta_e_deg, plan.secondary_aod_deg):
-        g = _gamma(plan.main_aod_deg, theta_e_deg, cfg)
+        g = phase_diff(plan.main_aod_deg, theta_e_deg, cfg)
         return complex((n - m) + np.exp(1j * c[plan.main_set] * g).sum())
     raise ValueError(
         "beta_e_hat_term requires the observation angle to align with the "
@@ -224,13 +215,10 @@ def make_plan(
 
 @dataclass
 class SimulationResult:
-    """Plan sequence plus per-observer gain samples for one symbol block."""
+    """Plan sequence plus per-observer gains (observers, K) for one symbol block."""
 
     plans: list[SymbolPlan]
-    samples: list[list[SignalSample]]
-
-    def gains(self, observer_index: int) -> np.ndarray:
-        return np.array([s.effective_gain for s in self.samples[observer_index]])
+    gains: np.ndarray
 
 
 def simulate_symbols(
@@ -246,30 +234,16 @@ def simulate_symbols(
 
     Receiver observers record the schedule-known coherent gain;
     eavesdropper observers record the single-path observer gain with unit
-    channel gain (their level is carried entirely by rho).
+    channel gain (their level is carried entirely by rho_E).
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     plans = [make_plan(ch, cfg, kind, params, rng) for _ in range(K)]
-    samples: list[list[SignalSample]] = []
-    for obs in observers:
-        obs_samples = []
+    gains = np.empty((len(observers), K), dtype=complex)
+    for i, obs in enumerate(observers):
         for k, plan in enumerate(plans):
             if obs.kind is ObserverKind.RECEIVER:
-                g = coherent_receiver_gain(ch, plan, cfg)
+                gains[i, k] = coherent_receiver_gain(ch, plan, cfg)
             else:
-                g = eavesdropper_gain(obs, plan, cfg, alpha_e=1.0 + 0.0j)
-            obs_samples.append(SignalSample(symbol_index=k, effective_gain=g))
-        samples.append(obs_samples)
-    return SimulationResult(plans=plans, samples=samples)
-
-
-def trace_dump(result: SimulationResult, observer_names: list[str]) -> str:
-    """Delimited per-symbol trace: k, observer, gain_re, gain_im."""
-    lines = ["k,observer,gain_re,gain_im"]
-    for name, obs_samples in zip(observer_names, result.samples):
-        for s in obs_samples:
-            lines.append(
-                f"{s.symbol_index},{name},{s.effective_gain.real!r},{s.effective_gain.imag!r}"
-            )
-    return "\n".join(lines) + "\n"
+                gains[i, k] = eavesdropper_gain(obs, plan, cfg, alpha_e=1.0 + 0.0j)
+    return SimulationResult(plans=plans, gains=gains)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, steering_phases
+from .array_geometry import ArrayConfig, array_response, steering_phases
 from .channel import ChannelRealization, top_k_paths
 
 
@@ -67,10 +67,9 @@ class SymbolPlan:
 def conventional_plan(ch: ChannelRealization, cfg: ArrayConfig) -> SymbolPlan:
     """All antennas steered at the strongest path; identical every symbol."""
     theta_s = ch.strongest_aod_deg
-    w = np.exp(1j * steering_phases(cfg, theta_s)) / np.sqrt(cfg.n_antennas)
     return SymbolPlan(
         kind=StrategyKind.CONVENTIONAL,
-        weights=w,
+        weights=array_response(cfg, theta_s),
         main_aod_deg=theta_s,
         main_set=np.arange(cfg.n_antennas),
         n_paths=ch.n_paths,
@@ -109,10 +108,9 @@ def random_path_plan(
     """Steer the whole array at one path drawn uniformly from all L paths."""
     l = int(rng.integers(ch.n_paths))
     theta_l = ch.paths[l].aod_deg
-    w = np.exp(1j * steering_phases(cfg, theta_l)) / np.sqrt(cfg.n_antennas)
     return SymbolPlan(
         kind=StrategyKind.RANDOM_PATH,
-        weights=w,
+        weights=array_response(cfg, theta_l),
         main_aod_deg=theta_l,
         main_set=np.arange(cfg.n_antennas),
         n_paths=ch.n_paths,
@@ -150,11 +148,8 @@ def joint_plan(
     main_set = np.sort(perm[: params.m_main])
     sec_set = np.sort(perm[params.m_main :])
 
-    w = np.empty(n, dtype=complex)
-    phases_s = steering_phases(cfg, theta_s)
-    phases_i = steering_phases(cfg, theta_i)
-    w[main_set] = np.exp(1j * phases_s[main_set]) / np.sqrt(n)
-    w[sec_set] = np.exp(1j * phases_i[sec_set]) / np.sqrt(n)
+    w = array_response(cfg, theta_i)
+    w[main_set] = array_response(cfg, theta_s)[main_set]
     return SymbolPlan(
         kind=StrategyKind.JOINT_PATH_ANTENNA,
         weights=w,

@@ -14,8 +14,7 @@ from mmwsec.analysis import (
     alignment_mixture_snr,
     b_moments,
     db_to_linear,
-    mc_snr_estimator,
-    schedule_compensate,
+    receiver_snr,
     snr_r_random_path,
 )
 from mmwsec.array_geometry import ArrayConfig
@@ -85,7 +84,7 @@ def test_criterion_2_decomposition_oracle(capsys):
             rel(coherent_receiver_gain(ch, plan, cfg), np.conj(alpha) * math.sqrt(32 / 12)),
         )
         theta_e = float(rng.integers(1, 181))
-        obs = ObserverSpec(ObserverKind.EAVESDROPPER, theta_e, 15.0)
+        obs = ObserverSpec(ObserverKind.EAVESDROPPER, theta_e)
         worst = max(
             worst,
             rel(
@@ -111,7 +110,7 @@ def test_criterion_2_decomposition_oracle(capsys):
         ) / sqrt_ln
         worst = max(worst, rel(coherent_receiver_gain(ch, plan, cfg), decomposed))
         off = 77.3  # fractional, so never aligned with an integer-degree path
-        obs = ObserverSpec(ObserverKind.EAVESDROPPER, off, 15.0)
+        obs = ObserverSpec(ObserverKind.EAVESDROPPER, off)
         worst = max(
             worst,
             rel(
@@ -119,7 +118,7 @@ def test_criterion_2_decomposition_oracle(capsys):
                 np.conj(alpha_e) * beta_e_term(plan, off, cfg),
             ),
         )
-        obs = ObserverSpec(ObserverKind.EAVESDROPPER, THETA_R, 15.0)
+        obs = ObserverSpec(ObserverKind.EAVESDROPPER, THETA_R)
         worst = max(
             worst,
             rel(
@@ -139,7 +138,7 @@ def test_criterion_3_random_path_receiver_snr(capsys):
         np.random.default_rng(1002),
     )
     sigma_r = channel_stats(ch).mean_gain ** 2 / rho_r
-    est = mc_snr_estimator(schedule_compensate(streams.recv), sigma_r)
+    est = receiver_snr(streams.recv, sigma_r)
     err = abs(est - target) / target
     report(
         capsys, 3, err < 0.05,

@@ -12,11 +12,11 @@ from mmwsec.analysis import (
     b_moments,
     db_to_linear,
     estimate_joint_moments,
+    joint_sidelobe_aods,
     linear_to_db,
     location_mixture_snr,
     mc_snr_estimator,
     receiver_snr,
-    schedule_compensate,
     secrecy_rate,
     snr_e_joint,
     snr_e_random_path,
@@ -167,14 +167,6 @@ def test_mc_snr_estimator_basics():
         mc_snr_estimator(np.array([1.0 + 0j]), 1.0)
 
 
-def test_schedule_compensation_feeds_generic_estimator():
-    # after compensation the generic estimator reduces to receiver_snr
-    rng = np.random.default_rng(56)
-    gains = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
-    flat = schedule_compensate(gains)
-    assert mc_snr_estimator(flat, 0.3) == pytest.approx(receiver_snr(gains, 0.3))
-
-
 def test_random_path_receiver_estimator_converges():
     # K=1e5 stream through the estimator lands on N rho_R / L within 5%
     rho_r = db_to_linear(10.0)
@@ -184,7 +176,7 @@ def test_random_path_receiver_estimator_converges():
         np.random.default_rng(58),
     )
     sigma_r = channel_stats(ch).mean_gain ** 2 / rho_r
-    est = mc_snr_estimator(schedule_compensate(streams.recv), sigma_r)
+    est = receiver_snr(streams.recv, sigma_r)
     assert est == pytest.approx(snr_r_random_path(32, 12, rho_r), rel=0.05)
 
 
@@ -227,8 +219,6 @@ def test_joint_snr_e_matches_monte_carlo():
     # alignment cases while a pinned angle realizes only one, so single
     # realizations can drift further apart.)
     rho_e = db_to_linear(15.0)
-    from mmwsec.montecarlo import _joint_sidelobe_aods
-
     cf_vals, mc_vals = [], []
     for seed in range(60, 68):
         ch = sample_channel(12, THETA_R, np.random.default_rng(seed))
@@ -242,7 +232,7 @@ def test_joint_snr_e_matches_monte_carlo():
                 mom.beta_e_hat_mean_sq, mom.beta_e_mean_sq, mom.beta_e_var,
             )
         )
-        thetas = [THETA_R] + _joint_sidelobe_aods(ch, 5)
+        thetas = [THETA_R] + joint_sidelobe_aods(ch, 5, THETA_R)[1]
         streams = simulate_streams(
             ch, CFG, StrategyKind.JOINT_PATH_ANTENNA, 16, 5, thetas, 20_000,
             np.random.default_rng(seed + 200),

@@ -7,7 +7,6 @@ from mmwsec.array_geometry import (
     ArrayConfig,
     array_response,
     beam_coupling,
-    steered_weights,
     steering_phase,
     steering_phases,
 )
@@ -21,6 +20,16 @@ def test_config_validation():
         ArrayConfig(8, spacing_over_wavelength=0.0)
     cfg = ArrayConfig(8)
     assert cfg.spacing_over_wavelength == 0.5
+
+
+def test_config_rejects_grating_lobe_spacing():
+    # Beyond half a wavelength the beam couples fully to a second direction:
+    # at d/lambda = 1 a path at 60 deg gives |B| = N at 120 deg, whose cosine
+    # differs, so the alignment labels would call that symbol unaligned.
+    assert ArrayConfig(8, spacing_over_wavelength=0.5).spacing_over_wavelength == 0.5
+    for spacing in (0.51, 1.0):
+        with pytest.raises(ValueError, match="grating lobes"):
+            ArrayConfig(8, spacing_over_wavelength=spacing)
 
 
 def test_steering_phase_broadside_is_zero():
@@ -82,7 +91,7 @@ def test_steered_weights_coherent_gain():
     for n in (2, 16, 32, 64):
         cfg = ArrayConfig(n)
         for theta in (1.0, 40.0, 55.0, 90.0, 180.0):
-            w = steered_weights(cfg, theta)
+            w = array_response(cfg, theta)
             assert beam_coupling(cfg, theta, w) == pytest.approx(1.0 + 0.0j, abs=1e-12)
             assert np.allclose(np.abs(w), 1 / np.sqrt(n), atol=1e-12)
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
@@ -91,7 +100,7 @@ def test_steered_weights_coherent_gain():
 def test_two_element_cross_coupling_null():
     # hand evaluation: a(0)^H w(90) = (e^{j pi/2} + e^{-j pi/2}) / 2 = 0
     cfg = ArrayConfig(2)
-    assert beam_coupling(cfg, 0.0, steered_weights(cfg, 90.0)) == pytest.approx(
+    assert beam_coupling(cfg, 0.0, array_response(cfg, 90.0)) == pytest.approx(
         0.0, abs=1e-12
     )
 

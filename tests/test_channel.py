@@ -6,9 +6,7 @@ import pytest
 from mmwsec.channel import (
     ChannelRealization,
     PathComponent,
-    channel_from_text,
     channel_stats,
-    channel_to_text,
     sample_channel,
     top_k_paths,
 )
@@ -133,11 +131,3 @@ def test_channel_stats_recompute_oracle():
     assert stats.mean_gain == pytest.approx(sum(mags) / 12, abs=1e-12)
     others = [m for i, m in enumerate(mags) if i != ch.strongest_index]
     assert stats.mean_gain_excl_strongest == pytest.approx(sum(others) / 11, abs=1e-12)
-
-
-def test_text_round_trip():
-    ch = sample_channel(12, THETA_R, np.random.default_rng(10))
-    back = channel_from_text(channel_to_text(ch))
-    assert np.array_equal(back.gains, ch.gains)
-    assert np.array_equal(back.aods_deg, ch.aods_deg)
-    assert back.strongest_index == ch.strongest_index

@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line front end."""
 
+from pathlib import Path
+
 import pytest
 
 from mmwsec.cli import main, parse_strategies
 from mmwsec.montecarlo import ResultTable
 from mmwsec.strategies import StrategyKind
+
+GOLDEN = Path(__file__).parent / "golden"
 
 FAST = [
     "--symbols", "100",
@@ -172,3 +176,31 @@ def test_analytic_requires_supported_strategy(tmp_path, capsys):
         ]
     )
     assert code != 0
+
+
+def test_grating_lobe_spacing_is_rejected(tmp_path, capsys):
+    code = run_cli(
+        ["sweep", "--spacing", "1.0", "--strategies", "random-path", *FAST,
+         "-o", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert "grating lobes" in capsys.readouterr().err
+
+
+def test_outputs_match_golden_bytes(tmp_path):
+    """One fixed command rewrites the committed CSV, closed-form CSV and
+    `.meta` files byte for byte.  L = 1 makes the joint row inapplicable and
+    --analytic covers the closed forms.  The files were written with numpy
+    2.4.6 on x86-64; another BLAS or libm may move a last printed digit.
+    """
+    out = tmp_path / "paths.csv"
+    code = run_cli(
+        [
+            "sweep", "--axis", "paths", "--values", "1,2,12", "--strategies", "all",
+            "--analytic", "--symbols", "200", "--ensemble", "2", "--seed", "5",
+            "-o", str(out),
+        ]
+    )
+    assert code == 0
+    for name in ("paths.csv", "paths.csv.meta", "paths_analytic.csv", "paths_analytic.csv.meta"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmwsec.array_geometry import ArrayConfig, beam_coupling, steered_weights
+from mmwsec.array_geometry import ArrayConfig, array_response, beam_coupling
 from mmwsec.channel import sample_channel, top_k_paths
 from mmwsec.strategies import (
     StrategyKind,
@@ -40,7 +42,7 @@ def test_conventional_plan_is_static(channel):
     p2 = conventional_plan(channel, CFG)
     assert np.array_equal(p1.weights, p2.weights)
     assert p1.main_aod_deg == THETA_R
-    assert np.array_equal(p1.weights, steered_weights(CFG, THETA_R))
+    assert np.array_equal(p1.weights, array_response(CFG, THETA_R))
     assert beam_coupling(CFG, THETA_R, p1.weights) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -152,3 +154,26 @@ def test_plans_deterministic_given_seed(channel):
     assert np.array_equal(p1.weights, p2.weights)
     assert np.array_equal(p1.main_set, p2.main_set)
     assert p1.secondary_path_index == p2.secondary_path_index
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    L=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_every_plan_has_unit_transmit_power(n, L, seed, data):
+    m = data.draw(st.integers(1, n), label="m")
+    l_s = data.draw(st.integers(2, L), label="l_s")  # l_s = 1 leaves no secondary path
+    cfg = ArrayConfig(n)
+    rng = np.random.default_rng(seed)
+    ch = sample_channel(L, THETA_R, rng)
+    plans = [
+        conventional_plan(ch, cfg),
+        switched_array_plan(ch, cfg, m, rng),
+        random_path_plan(ch, cfg, rng),
+        joint_plan(ch, cfg, StrategyParams(m, l_s), rng),
+    ]
+    for plan in plans:
+        assert np.vdot(plan.weights, plan.weights).real == pytest.approx(1.0, abs=1e-12)
