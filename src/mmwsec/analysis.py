@@ -11,7 +11,6 @@ module boundaries.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,10 +18,10 @@ import numpy as np
 
 from .array_geometry import ArrayConfig
 from .channel import ChannelRealization
-from .signal_engine import beta_e_hat_term, beta_e_term, beta_r_term, cos_aligned, dirichlet_B
-from .strategies import StrategyKind, StrategyParams, SymbolPlan, secondary_pool
-
-EXHAUSTIVE_SUBSET_LIMIT = 10**6
+from .signal_engine import centered_indices, cos_aligned, dirichlet_B, phase_diff
+# No caller here: the benchmark's layer probe (benchmarks/layers.py) wraps these names.
+from .signal_engine import beta_e_hat_term, beta_e_term, beta_r_term  # noqa: F401
+from .strategies import StrategyParams, secondary_pool
 
 
 def db_to_linear(x_db: float) -> float:
@@ -239,72 +238,53 @@ class JointBetaMoments:
     beta_e_hat_mean_sq: float
 
 
-def _joint_draws(ch, cfg, params, rng, n_draws):
-    """Yield (main_set, secondary_path_index) draws, exhaustively when cheap."""
-    n = cfg.n_antennas
-    pool = secondary_pool(ch, params.l_s)
-    n_subsets = math.comb(n, params.m_main)
-    if n_subsets * len(pool) <= EXHAUSTIVE_SUBSET_LIMIT:
-        for comb in itertools.combinations(range(n), params.m_main):
-            main = np.array(comb)
-            for sec in pool:
-                yield main, sec
-    else:
-        for _ in range(n_draws):
-            main = np.sort(rng.choice(n, size=params.m_main, replace=False))
-            sec = pool[int(rng.integers(len(pool)))]
-            yield main, sec
-
-
 def estimate_joint_moments(
     ch: ChannelRealization,
     cfg: ArrayConfig,
     params: StrategyParams,
     theta_e_deg: float,
-    rng: np.random.Generator,
-    n_draws: int = 10_000,
 ) -> JointBetaMoments:
-    """Estimate the beta moments over random antenna subsets and secondary paths.
+    """Exact beta moments over the uniform antenna subset and secondary path.
 
-    Exhaustive enumeration when the subset space is small, otherwise
-    n_draws uniform samples.  The mainlobe moment pools the
-    aligned-with-main and aligned-with-secondary cases with equal weight.
-    When theta_e_deg coincides with a transmit angle (the strongest path
-    or a secondary candidate), the sidelobe moments are taken over the
-    non-transmitted path angles — the locations the unaligned mixture
-    branch actually represents; otherwise they are taken at theta_e_deg.
+    Every beta sum is linear in the indicator of the uniform m-subset S
+    of main-beam antennas.  With f = m/N, a subset sum of x_n has mean
+    f sum(x) and variance m(N-m)/(N(N-1)) sum|x - mean(x)|^2, the
+    finite-population correction (Cochran, Sampling Techniques, ch. 2).
+    The sidelobe sum at angle theta is sum(b) + sum_S (a - b), with a and
+    b the main- and secondary-beam phasors at theta; its moments pool the
+    secondary paths and sidelobe angles by the law of total variance.
+    The mainlobe moment pools the aligned-with-main and
+    aligned-with-secondary cases with equal weight.  When theta_e_deg
+    coincides with a transmit angle (the strongest path or a secondary
+    candidate), the sidelobe moments are taken over the non-transmitted
+    path angles — the locations the unaligned mixture branch actually
+    represents; otherwise they are taken at theta_e_deg.
     """
-    n = cfg.n_antennas
-    scale = math.sqrt(ch.n_paths * n)
+    n, m = cfg.n_antennas, params.m_main
+    params.validate(n, ch.n_paths)
+    f = m / n
+    c = centered_indices(n)
+    theta_s = ch.strongest_aod_deg
+    pool = secondary_pool(ch, params.l_s)
+    pool_aods = ch.aods_deg[pool]
+    # full-array secondary-vs-main Dirichlet sums, one per pool path
+    d = np.exp(1j * np.outer(c, phase_diff(pool_aods, theta_s, cfg))).sum(axis=0)
+    alpha_s = ch.gains[ch.strongest_index]
+    beta_r = np.conj(alpha_s) * (1 - f) * d + np.conj(ch.gains[pool]) * f * np.conj(d)
+    beta_hat = ((m + (1 - f) * d) + ((n - m) + f * np.conj(d))) / 2
     covered, side_aods = joint_sidelobe_aods(ch, params.l_s, theta_e_deg)
     if not covered:
         side_aods = [theta_e_deg]
-    beta_r_vals, beta_e_vals, beta_hat_vals = [], [], []
-    for main, sec in _joint_draws(ch, cfg, params, rng, n_draws):
-        sec_set = np.setdiff1d(np.arange(n), main)
-        plan = SymbolPlan(
-            kind=StrategyKind.JOINT_PATH_ANTENNA,
-            weights=np.empty(0),
-            main_aod_deg=ch.strongest_aod_deg,
-            main_set=main,
-            n_paths=ch.n_paths,
-            main_path_index=ch.strongest_index,
-            secondary_aod_deg=ch.paths[sec].aod_deg,
-            secondary_set=sec_set,
-            secondary_path_index=sec,
-        )
-        beta_r_vals.append(beta_r_term(ch, plan, cfg))
-        for aod in side_aods:
-            beta_e_vals.append(beta_e_term(plan, aod, cfg) * scale)
-        beta_hat_vals.append(beta_e_hat_term(plan, plan.main_aod_deg, cfg))
-        beta_hat_vals.append(beta_e_hat_term(plan, plan.secondary_aod_deg, cfg))
-    beta_r = np.array(beta_r_vals)
-    beta_hat = np.array(beta_hat_vals)
-    if beta_e_vals:
-        beta_e = np.array(beta_e_vals)
-        be_mean = beta_e.mean()
+    if side_aods:
+        side = np.asarray(side_aods, dtype=float)
+        a = np.exp(1j * np.outer(c, phase_diff(theta_s, side, cfg)))[:, None, :]  # (n, 1, T)
+        b = np.exp(1j * c[:, None, None] * phase_diff(pool_aods[:, None], side, cfg))  # (n, P, T)
+        x = a - b
+        cond_mean = b.sum(axis=0) + f * x.sum(axis=0)
+        cond_var = m * (n - m) / (n * (n - 1)) * np.sum(np.abs(x - x.mean(axis=0)) ** 2, axis=0)
+        be_mean = cond_mean.mean()
         be_mean_sq = float(np.abs(be_mean) ** 2)
-        be_var = float(np.mean(np.abs(beta_e - be_mean) ** 2))
+        be_var = float(cond_var.mean() + np.mean(np.abs(cond_mean - be_mean) ** 2))
     else:  # every path is a transmit candidate; the sidelobe branch is empty
         be_mean_sq = 0.0
         be_var = 0.0

@@ -161,13 +161,18 @@ def apply_flags(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
 
 
 def validate_spec(spec: SweepSpec):
-    for strat in spec.strategies:
-        if strat is StrategyKind.JOINT_PATH_ANTENNA and spec.axis != "n_paths":
-            if spec.n_paths < 2:
-                raise CliError(
-                    "joint path-and-antenna selection requires paths >= 2 "
-                    f"(got paths={spec.n_paths})"
-                )
+    if StrategyKind.JOINT_PATH_ANTENNA in spec.strategies:
+        if spec.axis != "n_paths" and spec.n_paths < 2:
+            raise CliError(
+                "joint path-and-antenna selection requires paths >= 2 "
+                f"(got paths={spec.n_paths})"
+            )
+        if spec.l_s < 2:
+            raise CliError(
+                "joint path-and-antenna selection requires ls >= 2: the pool of the ls "
+                "strongest paths includes the strongest, which is never secondary "
+                f"(got ls={spec.l_s})"
+            )
     if spec.m_main is not None and spec.axis != "n_antennas":
         if not 1 <= spec.m_main <= spec.n_antennas:
             raise CliError(
@@ -267,6 +272,12 @@ def run(args: argparse.Namespace) -> int:
         spec = apply_config_file(spec, args.config)
     spec = apply_flags(spec, args)
     validate_spec(spec)
+    if spec.ensemble == 1:
+        print(
+            "warning: ensemble=1: the stderr column reads 0 because one channel gives "
+            "no spread estimate",
+            file=sys.stderr,
+        )
     for sub_spec, path in _curve_outputs(spec, args.output):
         validate_spec(sub_spec)
         _run_one(sub_spec, args, path)

@@ -353,9 +353,7 @@ class _Point:
 
 def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n_paths: int):
     if kind is StrategyKind.JOINT_PATH_ANTENNA:
-        if n_paths < 2:
-            return False
-        try:
+        try:  # also rules out L < 2, since 2 <= l_s <= L
             StrategyParams(spec.resolved_m(n_antennas), min(spec.l_s, n_paths)).validate(
                 n_antennas, n_paths
             )
@@ -368,7 +366,8 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     """The sweep loop shared by `run_sweep` and `compare_analytic`.
 
     evaluate(point, ch, rng) returns one channel's linear (snr_r, snr_e);
-    rng is the plan stream of that (strategy, axis value, channel).
+    rng is the plan stream of that (strategy, axis value, channel), which
+    only the Monte Carlo evaluation reads.
     """
     rows = []
     rho_r = db_to_linear(spec.rho_r_db)
@@ -464,11 +463,13 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     return _sweep(spec, evaluate)
 
 
-def compare_analytic(spec: SweepSpec, moment_draws: int = 4000) -> ResultTable:
+def compare_analytic(spec: SweepSpec) -> ResultTable:
     """Closed-form rates on the same grid, ensemble-averaged over channels.
 
-    Supports the two randomized techniques only; the beta moments of the
-    joint technique are estimated over subset draws per channel.  The
+    Supports the two randomized techniques only.  The beta moments of the
+    joint technique are exact per channel (finite-population correction
+    over the antenna subset, see `estimate_joint_moments`), so the column
+    depends on the seed only through the channel draws.  The
     random-path eavesdropper SNR assumes an eavesdropper on a path angle
     (`snr_e_random_path` always carries the 1/L mainlobe term), so off the
     channel's path angles its column is not comparable to `run_sweep`'s,
@@ -478,7 +479,7 @@ def compare_analytic(spec: SweepSpec, moment_draws: int = 4000) -> ResultTable:
         if strat not in ANALYTIC_STRATEGIES:
             raise ValueError(f"compare_analytic supports {ANALYTIC_STRATEGIES}, got {strat}")
 
-    def evaluate(pt: _Point, ch: ChannelRealization, rng: np.random.Generator):
+    def evaluate(pt: _Point, ch: ChannelRealization, _rng: np.random.Generator):
         n_ant = pt.cfg.n_antennas
         if pt.strategy is StrategyKind.RANDOM_PATH:
             snr_r = snr_r_random_path(n_ant, pt.n_paths, pt.rho_r)
@@ -488,12 +489,7 @@ def compare_analytic(spec: SweepSpec, moment_draws: int = 4000) -> ResultTable:
             return snr_r, snr_e
         stats = channel_stats(ch)
         moments = estimate_joint_moments(
-            ch,
-            pt.cfg,
-            StrategyParams(pt.m_main, pt.l_s),
-            pt.theta_e_deg,
-            rng,
-            n_draws=moment_draws,
+            ch, pt.cfg, StrategyParams(pt.m_main, pt.l_s), pt.theta_e_deg
         )
         snr_r = snr_r_joint(
             n_ant,

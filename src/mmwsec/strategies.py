@@ -39,8 +39,11 @@ class StrategyParams:
             raise ValueError(
                 f"m_main must lie in [1, {n_antennas}], got {self.m_main}"
             )
-        if not 1 <= self.l_s <= n_paths:
-            raise ValueError(f"l_s must lie in [1, {n_paths}], got {self.l_s}")
+        if not 2 <= self.l_s <= n_paths:
+            raise ValueError(
+                f"l_s must lie in [2, {n_paths}], got {self.l_s}: the pool of the l_s "
+                "strongest paths includes the strongest, which is never a secondary path"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Unit tests for the closed-form SNR expressions and their MC estimators."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwsec.analysis import (
     JointBetaMoments,
@@ -26,8 +29,8 @@ from mmwsec.analysis import (
 from mmwsec.array_geometry import ArrayConfig
 from mmwsec.channel import channel_stats, sample_channel
 from mmwsec.montecarlo import LABEL_NONE, simulate_streams
-from mmwsec.signal_engine import dirichlet_B
-from mmwsec.strategies import StrategyKind, StrategyParams
+from mmwsec.signal_engine import beta_e_hat_term, beta_e_term, beta_r_term, dirichlet_B
+from mmwsec.strategies import StrategyKind, StrategyParams, SymbolPlan, secondary_pool
 
 CFG = ArrayConfig(32)
 THETA_R = 40.0
@@ -148,9 +151,7 @@ def test_joint_aligned_term_below_random_path_aligned_term():
     rho_e = db_to_linear(15.0)
     full_beam = (1 / 12) * (rho_e * 32 / 12)
     ch = sample_channel(12, THETA_R, np.random.default_rng(53))
-    mom = estimate_joint_moments(
-        ch, CFG, StrategyParams(16, 5), THETA_R, np.random.default_rng(54), n_draws=2000
-    )
+    mom = estimate_joint_moments(ch, CFG, StrategyParams(16, 5), THETA_R)
     assert mom.beta_e_hat_mean_sq < 32**2
     aligned = 2 * rho_e * mom.beta_e_hat_mean_sq / (12**2 * 32)
     assert aligned < 2 * full_beam  # probability 2/L vs 1/L on the same bound
@@ -202,15 +203,68 @@ def test_location_mixture_hand_example():
     )
 
 
-def test_joint_moments_deterministic_when_exhaustive():
-    # small array: C(8,4) * pool is tiny, so the rng must not matter
-    cfg = ArrayConfig(8)
-    ch = sample_channel(6, THETA_R, np.random.default_rng(59))
-    params = StrategyParams(4, 3)
-    m1 = estimate_joint_moments(ch, cfg, params, THETA_R, np.random.default_rng(1), 100)
-    m2 = estimate_joint_moments(ch, cfg, params, THETA_R, np.random.default_rng(2), 100)
-    assert m1 == m2
-    assert m1.beta_e_var >= 0.0
+def _enumerated_joint_moments(ch, cfg, params, theta_e_deg):
+    """The joint moments by brute force: every m-subset of antennas times
+    every secondary candidate, each through the scalar beta terms."""
+    n = cfg.n_antennas
+    covered, side = joint_sidelobe_aods(ch, params.l_s, theta_e_deg)
+    side = side if covered else [theta_e_deg]
+    beta_r, beta_e, beta_hat = [], [], []
+    for comb in itertools.combinations(range(n), params.m_main):
+        main = np.array(comb)
+        for sec in secondary_pool(ch, params.l_s):
+            plan = SymbolPlan(  # the beta terms never read the weights
+                kind=StrategyKind.JOINT_PATH_ANTENNA,
+                weights=np.empty(0),
+                main_aod_deg=ch.strongest_aod_deg,
+                main_set=main,
+                n_paths=ch.n_paths,
+                main_path_index=ch.strongest_index,
+                secondary_aod_deg=ch.paths[sec].aod_deg,
+                secondary_set=np.setdiff1d(np.arange(n), main),
+                secondary_path_index=sec,
+            )
+            beta_r.append(beta_r_term(ch, plan, cfg))
+            beta_e += [beta_e_term(plan, t, cfg) * math.sqrt(ch.n_paths * n) for t in side]
+            beta_hat.append(beta_e_hat_term(plan, plan.main_aod_deg, cfg))
+            beta_hat.append(beta_e_hat_term(plan, plan.secondary_aod_deg, cfg))
+    beta_e = np.array(beta_e)
+    be_mean = beta_e.mean() if beta_e.size else 0.0
+    return JointBetaMoments(
+        beta_r_mean=complex(np.mean(beta_r)),
+        beta_e_mean_sq=float(np.abs(be_mean) ** 2),
+        beta_e_var=float(np.mean(np.abs(beta_e - be_mean) ** 2)) if beta_e.size else 0.0,
+        beta_e_hat_mean_sq=float(np.abs(np.mean(beta_hat)) ** 2),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    L=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.sampled_from(["strongest", "secondary", "any"]),
+    data=st.data(),
+)
+def test_joint_moments_match_enumeration(n, L, seed, where, data):
+    # the exact subset moments against every (subset, secondary path) draw
+    m = data.draw(st.integers(1, n), label="m")
+    l_s = data.draw(st.integers(2, L), label="l_s")
+    cfg = ArrayConfig(n)
+    ch = sample_channel(L, THETA_R, np.random.default_rng(seed))
+    params = StrategyParams(m, l_s)
+    if where == "strongest":
+        theta_e = THETA_R
+    elif where == "secondary":
+        theta_e = ch.paths[data.draw(st.sampled_from(secondary_pool(ch, l_s)), label="sec")].aod_deg
+    else:
+        theta_e = float(data.draw(st.integers(1, 180), label="theta_e"))
+    got = estimate_joint_moments(ch, cfg, params, theta_e)
+    want = _enumerated_joint_moments(ch, cfg, params, theta_e)
+    assert abs(got.beta_r_mean - want.beta_r_mean) <= 1e-12
+    assert got.beta_e_mean_sq == pytest.approx(want.beta_e_mean_sq, abs=1e-12)
+    assert got.beta_e_var == pytest.approx(want.beta_e_var, abs=1e-12)
+    assert got.beta_e_hat_mean_sq == pytest.approx(want.beta_e_hat_mean_sq, abs=1e-12)
 
 
 def test_joint_snr_e_matches_monte_carlo():
@@ -222,10 +276,7 @@ def test_joint_snr_e_matches_monte_carlo():
     cf_vals, mc_vals = [], []
     for seed in range(60, 68):
         ch = sample_channel(12, THETA_R, np.random.default_rng(seed))
-        mom = estimate_joint_moments(
-            ch, CFG, StrategyParams(16, 5), THETA_R,
-            np.random.default_rng(seed + 100), n_draws=10_000,
-        )
+        mom = estimate_joint_moments(ch, CFG, StrategyParams(16, 5), THETA_R)
         cf_vals.append(
             snr_e_joint(
                 32, 12, 16, rho_e,
@@ -256,10 +307,7 @@ def test_joint_snr_r_matches_monte_carlo_in_ensemble():
         ch = sample_channel(12, THETA_R, np.random.default_rng(500 + seed))
         stats = channel_stats(ch)
         sigma_r = stats.mean_gain**2 / rho_r
-        mom = estimate_joint_moments(
-            ch, CFG, StrategyParams(16, 12), THETA_R,
-            np.random.default_rng(600 + seed), n_draws=3000,
-        )
+        mom = estimate_joint_moments(ch, CFG, StrategyParams(16, 12), THETA_R)
         cf_vals.append(
             snr_r_joint(
                 32, 12, 16,

@@ -47,6 +47,33 @@ def test_joint_requires_multiple_paths(capsys):
     assert "paths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "axis_args",
+    [["--axis", "rho-e", "--values", "10"], ["--axis", "paths", "--values", "2,12"]],
+)
+def test_joint_requires_a_secondary_candidate(tmp_path, capsys, axis_args):
+    code = run_cli(
+        ["sweep", *axis_args, "--strategies", "joint,conventional", "--ls", "1", *FAST,
+         "-o", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert "requires ls >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_single_channel_ensemble_warns_about_stderr(tmp_path, capsys):
+    args = ["sweep", "--axis", "rho-e", "--values", "10", "--strategies", "random-path",
+            "--symbols", "100", "-o", str(tmp_path / "x.csv")]
+    assert run_cli([*args, "--ensemble", "1"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("warning:")] == [
+        "warning: ensemble=1: the stderr column reads 0 because one channel gives "
+        "no spread estimate"
+    ]
+    assert run_cli([*args, "--ensemble", "2"]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_contradictory_m_main(capsys):
     code = run_cli(
         ["sweep", "--antennas", "16", "--m-main", "20", "--strategies", "random-path"]

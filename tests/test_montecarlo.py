@@ -207,6 +207,21 @@ def test_inapplicable_rows_flagged_not_dropped():
     assert by_value[4.0].status == "ok"
 
 
+def test_joint_rows_inapplicable_without_secondary_candidates():
+    # l_s = 1 leaves only the strongest path in the pool, at every path count
+    spec = small_spec(
+        strategies=(StrategyKind.JOINT_PATH_ANTENNA, StrategyKind.CONVENTIONAL),
+        axis="n_paths", axis_values=(2.0, 12.0), l_s=1, ensemble=1, symbols_per_point=100,
+    )
+    status = {(r.strategy, r.axis_value): r.status for r in run_sweep(spec).rows}
+    assert status == {
+        (StrategyKind.CONVENTIONAL, 2.0): "ok",
+        (StrategyKind.CONVENTIONAL, 12.0): "ok",
+        (StrategyKind.JOINT_PATH_ANTENNA, 2.0): "inapplicable",
+        (StrategyKind.JOINT_PATH_ANTENNA, 12.0): "inapplicable",
+    }
+
+
 def test_rows_sorted_and_rates_valid():
     spec = small_spec(axis_values=(55.0, 40.0), ensemble=2, symbols_per_point=100)
     table = run_sweep(spec)
@@ -259,7 +274,7 @@ def test_compare_analytic_tracks_monte_carlo():
         strategies=(StrategyKind.RANDOM_PATH,), ensemble=20, symbols_per_point=20_000
     )
     mc = run_sweep(spec).rows[0]
-    cf = compare_analytic(spec, moment_draws=500).rows[0]
+    cf = compare_analytic(spec).rows[0]
     assert cf.rate_bps_hz == pytest.approx(mc.rate_bps_hz, rel=0.10)
 
 
@@ -270,7 +285,7 @@ def test_compare_analytic_clamped_rows_agree():
         symbols_per_point=500,
     )
     mc = run_sweep(spec).rows[0]
-    cf = compare_analytic(spec, moment_draws=500).rows[0]
+    cf = compare_analytic(spec).rows[0]
     assert mc.rate_bps_hz == 0.0
     assert cf.rate_bps_hz == 0.0
 

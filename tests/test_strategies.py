@@ -148,6 +148,13 @@ def test_joint_plan_needs_two_paths():
         joint_plan(ch, CFG, StrategyParams(16, 1), np.random.default_rng(24))
 
 
+def test_params_need_a_secondary_candidate():
+    # the pool of the l_s strongest paths includes the strongest path itself
+    StrategyParams(m_main=16, l_s=2).validate(32, 12)
+    with pytest.raises(ValueError, match="l_s must lie in \\[2, 12\\]"):
+        StrategyParams(m_main=16, l_s=1).validate(32, 12)
+
+
 def test_plans_deterministic_given_seed(channel):
     p1 = joint_plan(channel, CFG, StrategyParams(16, 5), np.random.default_rng(25))
     p2 = joint_plan(channel, CFG, StrategyParams(16, 5), np.random.default_rng(25))
