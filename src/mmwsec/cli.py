@@ -173,8 +173,10 @@ def validate_spec(spec: SweepSpec):
                 "strongest paths includes the strongest, which is never secondary "
                 f"(got ls={spec.l_s})"
             )
+    if spec.m_main is not None and spec.m_main < 1:
+        raise CliError(f"m-main must be >= 1, got {spec.m_main}")
     if spec.m_main is not None and spec.axis != "n_antennas":
-        if not 1 <= spec.m_main <= spec.n_antennas:
+        if spec.m_main > spec.n_antennas:
             raise CliError(
                 f"m-main must lie in [1, antennas]; got m-main={spec.m_main}, "
                 f"antennas={spec.n_antennas}"

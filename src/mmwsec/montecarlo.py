@@ -35,9 +35,9 @@ from .analysis import (
     snr_r_random_path,
     SnrPair,
 )
-from .array_geometry import ArrayConfig
+from .array_geometry import ArrayConfig, array_response, steering_phases
 from .channel import ChannelRealization, channel_stats, sample_channel
-from .signal_engine import centered_indices, cos_aligned, dirichlet_B, phase_diff
+from .signal_engine import cos_aligned
 from .strategies import StrategyKind, StrategyParams, secondary_pool
 
 DEFAULT_AXIS_VALUES = {
@@ -47,8 +47,6 @@ DEFAULT_AXIS_VALUES = {
     "n_paths": (4.0, 8.0, 12.0),
 }
 AXES = tuple(DEFAULT_AXIS_VALUES)
-
-LABEL_NONE, LABEL_MAIN, LABEL_SECONDARY = 0, 1, 2
 
 # the strategies with closed forms (`compare_analytic`)
 ANALYTIC_STRATEGIES = (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
@@ -190,13 +188,14 @@ class SymbolStreams:
     """Vectorized per-symbol gains for one (channel, strategy) block.
 
     recv holds the receiver's schedule-known coherent gains (K,); eaves
-    holds the eavesdropper gains for each requested observation angle
-    (T, K); labels marks per-symbol alignment events per angle (T, K).
+    holds the eavesdropper gains at each requested observation angle
+    (T, K); aligned marks, per angle, the symbols that steer a beam at a
+    path sharing that angle's cosine (T, K).
     """
 
     recv: np.ndarray
     eaves: np.ndarray
-    labels: np.ndarray
+    aligned: np.ndarray
 
 
 def simulate_streams(
@@ -211,101 +210,50 @@ def simulate_streams(
 ) -> SymbolStreams:
     """Simulate K symbols of one strategy against many observation angles.
 
-    Equivalent to per-symbol plan generation plus the scalar gain
-    operations of `signal_engine`, restructured around array arithmetic.
-    The eavesdropper carries unit channel gain.
+    Every strategy sends, per symbol, one of R distinct unit-power weight
+    rows W and steers a subset of its candidate paths.  One observation
+    law serves every observer: G = sqrt(N/L) conj(A) W^T, with A the array
+    responses at the observation angles and the candidate path angles.
+    An eavesdropper (unit channel gain) gets G at its angle; the receiver
+    gets the sum of conj(alpha_l) G over the steered paths, as in
+    `signal_engine.eavesdropper_gain` and `coherent_receiver_gain`.
     """
-    n = cfg.n_antennas
-    L = ch.n_paths
+    n, L = cfg.n_antennas, ch.n_paths
     thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
     T = thetas.size
-    c = centered_indices(n)
-    gains = ch.gains
-    alpha_s = gains[ch.strongest_index]
-    theta_s = ch.strongest_aod_deg
-    root_nl = math.sqrt(n / L)
-    labels = np.zeros((T, K), dtype=np.int8)
-
-    if kind is StrategyKind.CONVENTIONAL:
-        recv = np.full(K, np.conj(alpha_s) * root_nl, dtype=complex)
-        eaves = np.empty((T, K), dtype=complex)
-        for t, th in enumerate(thetas):
-            coupling = np.exp(1j * c * phase_diff(theta_s, th, cfg)).sum() / n
-            eaves[t] = root_nl * coupling
-            if cos_aligned(th, theta_s):
-                labels[t] = LABEL_MAIN
-        return SymbolStreams(recv, eaves, labels)
-
-    if kind is StrategyKind.SWITCHED_ARRAY:
-        m = m_main
-        mask = _random_subsets(rng, K, n, m)
-        recv = np.full(K, np.conj(alpha_s) * root_nl * math.sqrt(m / n), dtype=complex)
-        eaves = np.empty((T, K), dtype=complex)
-        for t, th in enumerate(thetas):
-            v = np.exp(1j * c * phase_diff(theta_s, th, cfg)) / math.sqrt(n * m)
-            eaves[t] = root_nl * (mask @ v)
-            if cos_aligned(th, theta_s):
-                labels[t] = LABEL_MAIN
-        return SymbolStreams(recv, eaves, labels)
-
-    if kind is StrategyKind.RANDOM_PATH:
-        li = rng.integers(L, size=K)
-        recv = np.conj(gains[li]) * root_nl
-        # per (angle, path) coupling B / sqrt(LN)
-        pairs = [(th, tl) for th in thetas for tl in ch.aods_deg]
-        bmat = np.array([dirichlet_B(th, tl, cfg) for th, tl in pairs]).reshape(T, L)
-        amat = np.array([cos_aligned(th, tl) for th, tl in pairs]).reshape(T, L)
-        eaves = (bmat[:, li] / math.sqrt(L * n)).astype(complex)
-        labels = np.where(amat[:, li], LABEL_MAIN, LABEL_NONE).astype(np.int8)
-        return SymbolStreams(recv, eaves, labels)
-
-    if kind is StrategyKind.JOINT_PATH_ANTENNA:
-        if L < 2:
-            raise ValueError("joint strategy requires L >= 2 paths")
-        params = StrategyParams(m_main=m_main, l_s=l_s)
-        params.validate(n, L)
-        pool = np.array(secondary_pool(ch, l_s), dtype=int)
-        pidx = rng.integers(pool.size, size=K)  # index into pool, per symbol
-        sec_paths = pool[pidx]
-        mask_m = _random_subsets(rng, K, n, m_main)
-        mask_l = ~mask_m
-        m = m_main
-        scale = 1.0 / math.sqrt(L * n)
-
-        pool_aods = ch.aods_deg[pool]
-        # receiver cross-beam sums per pool angle
-        e_is = np.exp(
-            1j * np.outer(c, phase_diff(pool_aods, theta_s, cfg))
-        )  # (n, P): secondary-vs-main phasors
-        recv = np.empty(K, dtype=complex)
-        eaves = np.empty((T, K), dtype=complex)
-        alpha_i = gains[sec_paths]
-        for p in range(pool.size):
-            sel = pidx == p
-            s1 = mask_l[sel] @ e_is[:, p]
-            s2 = mask_m[sel] @ np.conj(e_is[:, p])
-            beta_r = np.conj(alpha_s) * s1 + np.conj(alpha_i[sel]) * s2
-            recv[sel] = scale * (
-                np.conj(alpha_s) * m + np.conj(alpha_i[sel]) * (n - m) + beta_r
-            )
-        for t, th in enumerate(thetas):
-            v_main = np.exp(1j * c * phase_diff(theta_s, th, cfg))
-            part_main = mask_m @ v_main
-            v_sec = np.exp(1j * np.outer(c, phase_diff(pool_aods, th, cfg)))  # (n, P)
-            part_sec = np.empty(K, dtype=complex)
-            for p in range(pool.size):
-                sel = pidx == p
-                part_sec[sel] = mask_l[sel] @ v_sec[:, p]
-            eaves[t] = scale * (part_main + part_sec)
-            if cos_aligned(th, theta_s):
-                labels[t] = LABEL_MAIN
-            else:
-                for p in range(pool.size):
-                    if cos_aligned(th, pool_aods[p]):
-                        labels[t, pidx == p] = LABEL_SECONDARY
-        return SymbolStreams(recv, eaves, labels)
-
-    raise ValueError(f"unknown strategy {kind}")
+    # Each branch draws the weight rows W (R, n), the candidate paths, the
+    # candidates each row steers (R, S) and the row each symbol sends (K,).
+    if kind is StrategyKind.CONVENTIONAL:  # one static beam at the strongest path
+        cand, steer = np.array([ch.strongest_index]), np.zeros((1, 1), dtype=int)
+        W = array_response(cfg, ch.strongest_aod_deg)[None, :]
+        row = np.zeros(K, dtype=int)
+    elif kind is StrategyKind.SWITCHED_ARRAY:  # a fresh m-subset of that beam per symbol
+        if not 1 <= m_main <= n:
+            raise ValueError(f"subset size m must lie in [1, {n}], got {m_main}")
+        cand, steer = np.array([ch.strongest_index]), np.zeros((K, 1), dtype=int)
+        beam = np.exp(1j * steering_phases(cfg, ch.strongest_aod_deg)) / math.sqrt(m_main)
+        W = _random_subsets(rng, K, n, m_main) * beam
+        row = np.arange(K)
+    elif kind is StrategyKind.RANDOM_PATH:  # the full beam at a uniformly drawn path
+        cand, steer = np.arange(L), np.arange(L)[:, None]
+        W = array_response(cfg, ch.aods_deg[:, None])
+        row = rng.integers(L, size=K)
+    elif kind is StrategyKind.JOINT_PATH_ANTENNA:  # m-subset at the strongest, rest at a pool path
+        StrategyParams(m_main, l_s).validate(n, L)
+        cand = np.array([ch.strongest_index, *secondary_pool(ch, l_s)])
+        sec = 1 + rng.integers(cand.size - 1, size=K)
+        beams = array_response(cfg, ch.aods_deg[cand][:, None])
+        W = np.where(_random_subsets(rng, K, n, m_main), beams[0], beams[sec])
+        steer, row = np.stack([np.zeros(K, dtype=int), sec], axis=1), np.arange(K)
+    else:
+        raise ValueError(f"unknown strategy {kind}")
+    cand_aods = ch.aods_deg[cand]
+    A = array_response(cfg, np.concatenate([thetas, cand_aods])[:, None])
+    G = math.sqrt(n / L) * (np.conj(A) @ W.T)  # (T + candidates, R)
+    own = G[T + steer, np.arange(len(W))[:, None]]  # each row toward the paths it steers
+    recv = (np.conj(ch.gains[cand][steer]) * own).sum(axis=1)
+    aligned = cos_aligned(thetas[:, None], cand_aods)[:, steer].any(axis=2)  # (T, R)
+    return SymbolStreams(recv[row], G[:T, row], aligned[:, row])
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +300,8 @@ class _Point:
 
 
 def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n_paths: int):
+    if kind is StrategyKind.SWITCHED_ARRAY:
+        return 1 <= spec.resolved_m(n_antennas) <= n_antennas
     if kind is StrategyKind.JOINT_PATH_ANTENNA:
         try:  # also rules out L < 2, since 2 <= l_s <= L
             StrategyParams(spec.resolved_m(n_antennas), min(spec.l_s, n_paths)).validate(
@@ -452,12 +402,12 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
         sigma_r = receiver_reference_gain(ch, pt.strategy) ** 2 / pt.rho_r
         snr_r = receiver_snr(streams.recv, sigma_r)
         if joint_mix:
-            aligned = streams.labels[0] != LABEL_NONE
+            aligned = streams.aligned[0]
             snr_e = location_mixture_snr(
                 streams.eaves[0][aligned], list(streams.eaves[1:]), pt.n_paths, 1.0 / pt.rho_e
             )
         else:
-            snr_e = alignment_mixture_snr(streams.eaves[0], streams.labels[0], 1.0 / pt.rho_e)
+            snr_e = alignment_mixture_snr(streams.eaves[0], streams.aligned[0], 1.0 / pt.rho_e)
         return snr_r, snr_e
 
     return _sweep(spec, evaluate)

@@ -10,8 +10,10 @@ product h^H f, and the per-path decomposition into coherent terms plus
 the interference sums beta_R / beta_E / beta_E_hat.  The decomposed forms
 are exact restrictions of the direct product to the steered paths, which
 the tests exploit as an equivalence oracle.  This per-symbol engine is
-also the reference for the vectorized kernels in `montecarlo`, which
-share its geometry helpers (centered indices, gamma, cosine alignment,
+also the reference for `montecarlo.simulate_streams`, which evaluates the
+same observation law, sqrt(N/L) a(theta)^H f, for a whole symbol block
+in one matrix product and shares its cosine alignment test; the closed
+forms in `analysis` share its other helpers (centered indices, gamma,
 the kernel B).
 """
 
@@ -52,8 +54,9 @@ class ObserverSpec:
             raise ValueError(f"aod_deg must lie in [1, 180], got {self.aod_deg}")
 
 
-def cos_aligned(theta_a_deg, theta_b_deg) -> bool:
-    """Alignment event: the two angles share a cosine within tolerance."""
+def cos_aligned(theta_a_deg, theta_b_deg):
+    """Alignment event: the two angles share a cosine within tolerance;
+    array angles broadcast to a boolean array."""
     return abs(np.cos(np.deg2rad(theta_a_deg)) - np.cos(np.deg2rad(theta_b_deg))) < COS_ALIGN_TOL
 
 

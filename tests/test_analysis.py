@@ -28,7 +28,7 @@ from mmwsec.analysis import (
 )
 from mmwsec.array_geometry import ArrayConfig
 from mmwsec.channel import channel_stats, sample_channel
-from mmwsec.montecarlo import LABEL_NONE, simulate_streams
+from mmwsec.montecarlo import simulate_streams
 from mmwsec.signal_engine import beta_e_hat_term, beta_e_term, beta_r_term, dirichlet_B
 from mmwsec.strategies import StrategyKind, StrategyParams, SymbolPlan, secondary_pool
 
@@ -117,7 +117,7 @@ def test_snr_e_random_path_matches_monte_carlo():
         ch, CFG, StrategyKind.RANDOM_PATH, 16, 5, [THETA_R], 100_000,
         np.random.default_rng(52),
     )
-    mc = alignment_mixture_snr(streams.eaves[0], streams.labels[0], 1 / rho_e)
+    mc = alignment_mixture_snr(streams.eaves[0], streams.aligned[0], 1 / rho_e)
     cf = snr_e_random_path(32, 12, rho_e, THETA_R, ch.aods_deg, CFG)
     assert cf == pytest.approx(mc, rel=0.05)
 
@@ -288,7 +288,7 @@ def test_joint_snr_e_matches_monte_carlo():
             ch, CFG, StrategyKind.JOINT_PATH_ANTENNA, 16, 5, thetas, 20_000,
             np.random.default_rng(seed + 200),
         )
-        aligned = streams.labels[0] != LABEL_NONE
+        aligned = streams.aligned[0]
         mc_vals.append(
             location_mixture_snr(
                 streams.eaves[0][aligned], list(streams.eaves[1:]), 12, 1 / rho_e

@@ -82,6 +82,16 @@ def test_contradictory_m_main(capsys):
     assert "m-main" in capsys.readouterr().err
 
 
+def test_switched_subset_size_checked_on_antennas_axis(tmp_path, capsys):
+    out = tmp_path / "sw.csv"
+    base = ["sweep", "--axis", "antennas", "--values", "16,32", "--strategies", "switched"]
+    assert run_cli([*base, *FAST, "--m-main", "0", "-o", str(out)]) == 2
+    assert "m-main" in capsys.readouterr().err
+    assert run_cli([*base, *FAST, "--m-main", "24", "-o", str(out)]) == 0
+    status = [line.split(",")[-1] for line in out.read_text().splitlines()[1:]]
+    assert status == ["inapplicable", "ok"]  # a 24-subset of 16 antennas does not exist
+
+
 def test_empty_strategy_list(capsys):
     code = run_cli(["sweep", "--strategies", ",", *FAST])
     assert code != 0
@@ -214,20 +224,30 @@ def test_grating_lobe_spacing_is_rejected(tmp_path, capsys):
     assert "grating lobes" in capsys.readouterr().err
 
 
+GOLDEN_COMMANDS = {
+    # L = 1 makes the joint row inapplicable and --analytic covers the closed forms
+    "paths": [
+        "sweep", "--axis", "paths", "--values", "1,2,12", "--strategies", "all",
+        "--analytic", "--symbols", "200", "--ensemble", "2", "--seed", "5",
+    ],
+    # on the strongest path, beside it, off path (55) and in a far sidelobe (140)
+    "theta": [
+        "sweep", "--axis", "theta-e", "--values", "39,40,55,140", "--strategies", "all",
+        "--m-main", "12", "--symbols", "200", "--ensemble", "2", "--seed", "5",
+    ],
+}
+
+
 def test_outputs_match_golden_bytes(tmp_path):
-    """One fixed command rewrites the committed CSV, closed-form CSV and
-    `.meta` files byte for byte.  L = 1 makes the joint row inapplicable and
-    --analytic covers the closed forms.  The files were written with numpy
-    2.4.6 on x86-64; another BLAS or libm may move a last printed digit.
+    """Fixed commands rewrite the committed CSV, closed-form CSV and `.meta`
+    files byte for byte.  The files were written with numpy 2.4.6 on x86-64;
+    another BLAS or libm may move a last printed digit.
     """
-    out = tmp_path / "paths.csv"
-    code = run_cli(
-        [
-            "sweep", "--axis", "paths", "--values", "1,2,12", "--strategies", "all",
-            "--analytic", "--symbols", "200", "--ensemble", "2", "--seed", "5",
-            "-o", str(out),
-        ]
-    )
-    assert code == 0
-    for name in ("paths.csv", "paths.csv.meta", "paths_analytic.csv", "paths_analytic.csv.meta"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    for stem, argv in GOLDEN_COMMANDS.items():
+        out = tmp_path / stem / f"{stem}.csv"
+        out.parent.mkdir()
+        assert run_cli([*argv, "-o", str(out)]) == 0
+        names = sorted(p.name for p in GOLDEN.glob(f"{stem}*"))
+        assert names == sorted(p.name for p in out.parent.iterdir())
+        for name in names:
+            assert (out.parent / name).read_bytes() == (GOLDEN / name).read_bytes(), name

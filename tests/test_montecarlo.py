@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwsec.array_geometry import ArrayConfig
+from mmwsec.array_geometry import ArrayConfig, array_response, steering_phases
 from mmwsec.channel import sample_channel
 from mmwsec.montecarlo import (
-    LABEL_MAIN,
-    LABEL_NONE,
     ResultTable,
     SweepSpec,
     _random_subsets,
@@ -19,8 +17,15 @@ from mmwsec.montecarlo import (
     run_sweep,
     simulate_streams,
 )
-from mmwsec.signal_engine import ObserverKind, ObserverSpec, simulate_symbols
-from mmwsec.strategies import StrategyKind, StrategyParams
+from mmwsec.signal_engine import (
+    ObserverKind,
+    ObserverSpec,
+    coherent_receiver_gain,
+    cos_aligned,
+    eavesdropper_gain,
+    simulate_symbols,
+)
+from mmwsec.strategies import StrategyKind, StrategyParams, SymbolPlan, secondary_pool
 
 ALL = tuple(StrategyKind)
 THETA_R = 40.0
@@ -139,6 +144,66 @@ def test_streams_match_reference_simulator_moments():
         )
 
 
+def _replayed_plans(ch, cfg, kind, m, l_s, K, rng):
+    """Per-symbol reference plans from the kernel's draw order on `rng`."""
+    n, L, s = cfg.n_antennas, ch.n_paths, ch.strongest_index
+    aods, theta_s = ch.aods_deg, ch.strongest_aod_deg
+    if kind is StrategyKind.CONVENTIONAL:
+        return [SymbolPlan(kind, array_response(cfg, theta_s), theta_s, np.arange(n), L, s)] * K
+    if kind is StrategyKind.RANDOM_PATH:
+        return [
+            SymbolPlan(kind, array_response(cfg, aods[l]), aods[l], np.arange(n), L, l)
+            for l in rng.integers(L, size=K)
+        ]
+    if kind is StrategyKind.SWITCHED_ARRAY:
+        plans = []
+        for active in _random_subsets(rng, K, n, m):
+            w = np.where(active, np.exp(1j * steering_phases(cfg, theta_s)) / np.sqrt(m), 0)
+            plans.append(SymbolPlan(kind, w, theta_s, np.flatnonzero(active), L, s))
+        return plans
+    pool = secondary_pool(ch, l_s)
+    secs = [pool[p] for p in rng.integers(len(pool), size=K)]
+    plans = []
+    for sec, main in zip(secs, _random_subsets(rng, K, n, m)):
+        theta_i = aods[sec]
+        w = np.where(main, array_response(cfg, theta_s), array_response(cfg, theta_i))
+        plans.append(
+            SymbolPlan(
+                kind, w, theta_s, np.flatnonzero(main), L, s,
+                theta_i, np.flatnonzero(~main), sec,
+            )
+        )
+    return plans
+
+
+def test_streams_match_reference_simulator_per_symbol():
+    """Every symbol of every kernel equals the scalar engine's gains for the
+    plan the kernel drew, at the strongest path, a secondary candidate, a
+    never-steered path angle and two off-path angles."""
+    cfg = ArrayConfig(16)
+    ch = sample_channel(8, THETA_R, np.random.default_rng(81))
+    m, l_s, K = 6, 4, 60
+    pool = secondary_pool(ch, l_s)
+    never = [i for i in range(ch.n_paths) if i != ch.strongest_index and i not in pool]
+    thetas = [THETA_R, ch.aods_deg[pool[0]], ch.aods_deg[never[0]], 55.0, 140.0]
+    for kind in ALL:
+        streams = simulate_streams(ch, cfg, kind, m, l_s, thetas, K, np.random.default_rng(82))
+        plans = _replayed_plans(ch, cfg, kind, m, l_s, K, np.random.default_rng(82))
+        for k, plan in enumerate(plans):
+            assert streams.recv[k] == pytest.approx(
+                coherent_receiver_gain(ch, plan, cfg), abs=1e-12
+            )
+            steered = [a for a in (plan.main_aod_deg, plan.secondary_aod_deg) if a is not None]
+            for t, theta in enumerate(thetas):
+                obs = ObserverSpec(ObserverKind.EAVESDROPPER, theta)
+                assert streams.eaves[t, k] == pytest.approx(
+                    eavesdropper_gain(obs, plan, cfg, 1.0 + 0.0j), abs=1e-12
+                )
+                assert streams.aligned[t, k] == any(cos_aligned(theta, a) for a in steered)
+        # each kind sees aligned and unaligned symbols among the chosen angles
+        assert streams.aligned.any() and not streams.aligned.all()
+
+
 def test_random_path_alignment_label_frequency():
     cfg = ArrayConfig(32)
     ch = sample_channel(12, THETA_R, np.random.default_rng(78))
@@ -146,13 +211,13 @@ def test_random_path_alignment_label_frequency():
         ch, cfg, StrategyKind.RANDOM_PATH, 16, 5, [THETA_R], 20_000,
         np.random.default_rng(79),
     )
-    frac = np.mean(streams.labels[0] == LABEL_MAIN)
+    frac = np.mean(streams.aligned[0])
     assert frac == pytest.approx(1 / 12, abs=0.01)
     off = simulate_streams(
         ch, cfg, StrategyKind.RANDOM_PATH, 16, 5, [39.5], 1000,
         np.random.default_rng(80),
     )
-    assert np.all(off.labels[0] == LABEL_NONE)
+    assert not off.aligned[0].any()
 
 
 def test_run_sweep_deterministic():
@@ -220,6 +285,20 @@ def test_joint_rows_inapplicable_without_secondary_candidates():
         (StrategyKind.JOINT_PATH_ANTENNA, 2.0): "inapplicable",
         (StrategyKind.JOINT_PATH_ANTENNA, 12.0): "inapplicable",
     }
+
+
+def test_switched_rows_inapplicable_outside_the_array():
+    # on the antennas axis m_main stays fixed while N moves: it must lie in [1, N]
+    spec = small_spec(
+        strategies=(StrategyKind.SWITCHED_ARRAY,), axis="n_antennas",
+        axis_values=(16.0, 32.0), m_main=24, ensemble=2, symbols_per_point=100,
+    )
+    assert {r.axis_value: r.status for r in run_sweep(spec).rows} == {
+        16.0: "inapplicable",
+        32.0: "ok",
+    }
+    empty = SweepSpec(**{**spec.__dict__, "m_main": 0})
+    assert {r.status for r in run_sweep(empty).rows} == {"inapplicable"}
 
 
 def test_rows_sorted_and_rates_valid():
