@@ -5,6 +5,5 @@ __version__ = "0.1.0"
 from .array_geometry import ArrayConfig, array_response, steering_phase
 from .channel import ChannelRealization, channel_stats, sample_channel, top_k_paths
 from .strategies import StrategyKind, StrategyParams
-from .signal_engine import ObserverKind, ObserverSpec, dirichlet_B, simulate_symbols
-from .analysis import SnrPair, secrecy_rate
+from .analysis import SnrPair, dirichlet_B, secrecy_rate
 from .montecarlo import ResultTable, SweepSpec, figure_preset, run_sweep

@@ -2,10 +2,12 @@
 counterparts.
 
 Rate follows the wiretap difference-of-logs with clamping at zero.  The
-random-path SNRs use the moments of the interception kernel over the
-uniform path draw; the joint-technique SNRs use subset-draw moments of
-the beta interference terms, estimated by enumeration when feasible and
-by sampling otherwise.  dB quantities convert to linear scale only at
+random-path SNRs use the moments of the interception kernel `dirichlet_B`
+over the uniform path draw; the joint-technique SNRs use the exact
+moments of the beta interference terms over the random antenna subset
+and secondary path (`estimate_joint_moments`).  The per-symbol beta terms
+themselves are defined here on one joint symbol, for the decomposition
+oracles in the tests.  dB quantities convert to linear scale only at
 module boundaries.
 """
 
@@ -16,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_geometry import ArrayConfig
+from .array_geometry import ArrayConfig, centered_indices, cos_aligned, phase_diff
 from .channel import ChannelRealization
-from .signal_engine import centered_indices, cos_aligned, dirichlet_B, phase_diff
-# No caller here: the benchmark's layer probe (benchmarks/layers.py) wraps these names.
-from .signal_engine import beta_e_hat_term, beta_e_term, beta_r_term  # noqa: F401
 from .strategies import StrategyParams, secondary_pool
 
 
@@ -52,6 +51,20 @@ def snr_r_random_path(n_antennas: int, n_paths: int, rho_r_linear: float) -> flo
     if n_antennas < 1 or n_paths < 1 or rho_r_linear < 0:
         raise ValueError("invalid inputs")
     return n_antennas * rho_r_linear / n_paths
+
+
+def dirichlet_B(theta_e_deg, theta_l_deg, cfg: ArrayConfig) -> float:
+    """Interception kernel sum_n exp(-j ((N-1)/2 - n) psi) with
+    psi = gamma(theta_e, theta_l).
+
+    Real by conjugate pairing of the terms; equals N exactly at cosine
+    alignment (handled without a sin/sin division).
+    """
+    n = cfg.n_antennas
+    if cos_aligned(theta_e_deg, theta_l_deg):
+        return float(n)
+    total = np.exp(-1j * centered_indices(n) * phase_diff(theta_e_deg, theta_l_deg, cfg)).sum()
+    return float(total.real)
 
 
 def b_moments(theta_e_deg, path_aods_deg, cfg: ArrayConfig) -> tuple[float, float]:
@@ -222,6 +235,70 @@ def joint_sidelobe_aods(
         p.aod_deg for i, p in enumerate(ch.paths) if i != ch.strongest_index and i not in pool
     ]
     return covered, side
+
+
+# One joint symbol, in the form the Monte Carlo kernel draws it: `main` is
+# the boolean (N,) mask of antennas on the main beam, and `paths` holds the
+# channel indices of the main and the secondary path, which the main-beam
+# and the remaining antennas steer.
+
+
+def _subset_sum(cfg: ArrayConfig, sel, theta_x_deg, theta_e_deg) -> complex:
+    """sum over the antennas in sel of exp(j c_n gamma(theta_x, theta_e))."""
+    c = centered_indices(cfg.n_antennas)[sel]
+    return complex(np.exp(1j * c * phase_diff(theta_x_deg, theta_e_deg, cfg)).sum())
+
+
+def beta_r_term(ch: ChannelRealization, cfg: ArrayConfig, main, paths) -> complex:
+    """Receiver-side cross-beam interference of one joint symbol.
+
+    conj(alpha_S) times the secondary beam's sum at the main angle plus
+    conj(alpha_i) times the main beam's sum at the secondary angle, so the
+    steered-path gain is (conj(alpha_S) M + conj(alpha_i) (N - M) + beta_R)
+    / sqrt(L N).  Precomputable at the receiver from its channel and
+    schedule knowledge.
+    """
+    s, i = paths
+    theta_s, theta_i = ch.aods_deg[s], ch.aods_deg[i]
+    return complex(
+        np.conj(ch.gains[s]) * _subset_sum(cfg, ~main, theta_i, theta_s)
+        + np.conj(ch.gains[i]) * _subset_sum(cfg, main, theta_s, theta_i)
+    )
+
+
+def beta_e_term(ch: ChannelRealization, cfg: ArrayConfig, main, paths, theta_e_deg) -> complex:
+    """Sidelobe artificial-noise term of one joint symbol (scaled by 1/sqrt(LN)).
+
+    The 1/sqrt(LN) factor applies to both subset sums so that
+    conj(alpha_e) * beta_e_term reproduces the direct single-path observer
+    gain exactly.
+    """
+    s, i = paths
+    total = _subset_sum(cfg, main, ch.aods_deg[s], theta_e_deg) + _subset_sum(
+        cfg, ~main, ch.aods_deg[i], theta_e_deg
+    )
+    return complex(total / np.sqrt(ch.n_paths * cfg.n_antennas))
+
+
+def beta_e_hat_term(ch: ChannelRealization, cfg: ArrayConfig, main, paths, theta_e_deg) -> complex:
+    """Mainlobe artificial-noise term of one joint symbol (unscaled): constant
+    part plus a random subset sum.
+
+    Valid only when the observation angle aligns with the main or the
+    secondary steering angle.  conj(alpha_e) * beta_e_hat / sqrt(LN)
+    equals the direct observer gain.
+    """
+    s, i = paths
+    theta_s, theta_i = ch.aods_deg[s], ch.aods_deg[i]
+    m = int(np.count_nonzero(main))
+    if cos_aligned(theta_e_deg, theta_s):
+        return m + _subset_sum(cfg, ~main, theta_i, theta_e_deg)
+    if cos_aligned(theta_e_deg, theta_i):
+        return cfg.n_antennas - m + _subset_sum(cfg, main, theta_s, theta_e_deg)
+    raise ValueError(
+        "beta_e_hat_term requires the observation angle to align with the "
+        "main or secondary steering angle"
+    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Uniform linear array geometry: steering phases, response vectors, coupling.
+"""Uniform linear array geometry: element positions, steering phases,
+response vectors, phase differences and the cosine alignment test.
 
 Angles are accepted in degrees everywhere and converted to radians
 internally.  Antennas are indexed n = 0..N-1 and the phase reference is
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+COS_ALIGN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,11 @@ class ArrayConfig:
             )
 
 
+def centered_indices(n: int) -> np.ndarray:
+    """Element positions (N-1)/2 - n about the array center, n = 0..N-1."""
+    return (n - 1) / 2.0 - np.arange(n)
+
+
 def steering_phase(n, cfg: ArrayConfig, theta_deg):
     """Phase shift (radians) of antenna n when steering toward theta_deg.
 
@@ -48,7 +56,7 @@ def steering_phase(n, cfg: ArrayConfig, theta_deg):
     n = np.asarray(n)
     if np.any(n < 0) or np.any(n >= cfg.n_antennas):
         raise ValueError(f"antenna index out of range 0..{cfg.n_antennas - 1}")
-    centered = (cfg.n_antennas - 1) / 2.0 - n
+    centered = centered_indices(cfg.n_antennas)[n]
     return centered * 2.0 * np.pi * cfg.spacing_over_wavelength * np.cos(np.deg2rad(theta_deg))
 
 
@@ -63,6 +71,18 @@ def array_response(cfg: ArrayConfig, theta_deg) -> np.ndarray:
     return np.exp(1j * steering_phases(cfg, theta_deg)) / np.sqrt(cfg.n_antennas)
 
 
-def beam_coupling(cfg: ArrayConfig, theta_obs_deg, weights: np.ndarray) -> complex:
-    """Observed complex pattern value a(theta_obs)^H w for arbitrary weights."""
-    return complex(np.vdot(array_response(cfg, theta_obs_deg), weights))
+def phase_diff(theta_x_deg, theta_e_deg, cfg: ArrayConfig):
+    """gamma(theta_x, theta_e) = 2 pi (d/lambda) (cos theta_x - cos theta_e);
+    either angle may be an array."""
+    return (
+        2.0
+        * np.pi
+        * cfg.spacing_over_wavelength
+        * (np.cos(np.deg2rad(theta_x_deg)) - np.cos(np.deg2rad(theta_e_deg)))
+    )
+
+
+def cos_aligned(theta_a_deg, theta_b_deg):
+    """Alignment event: the two angles share a cosine within tolerance;
+    array angles broadcast to a boolean array."""
+    return abs(np.cos(np.deg2rad(theta_a_deg)) - np.cos(np.deg2rad(theta_b_deg))) < COS_ALIGN_TOL

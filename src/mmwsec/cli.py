@@ -183,10 +183,6 @@ def validate_spec(spec: SweepSpec):
             )
     if spec.axis != "n_paths" and not 1 <= spec.l_s:
         raise CliError(f"ls must be >= 1, got {spec.l_s}")
-    if not 1 <= spec.theta_r_deg <= 180:
-        raise CliError(f"theta-r must lie in [1, 180], got {spec.theta_r_deg}")
-    if spec.axis != "theta_e_deg" and not 1 <= spec.theta_e_deg <= 180:
-        raise CliError(f"theta-e must lie in [1, 180], got {spec.theta_e_deg}")
 
 
 def spec_metadata(spec: SweepSpec) -> dict[str, str]:

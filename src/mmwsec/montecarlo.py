@@ -35,9 +35,8 @@ from .analysis import (
     snr_r_random_path,
     SnrPair,
 )
-from .array_geometry import ArrayConfig, array_response, steering_phases
+from .array_geometry import ArrayConfig, array_response, cos_aligned, steering_phases
 from .channel import ChannelRealization, channel_stats, sample_channel
-from .signal_engine import cos_aligned
 from .strategies import StrategyKind, StrategyParams, secondary_pool
 
 DEFAULT_AXIS_VALUES = {
@@ -83,6 +82,13 @@ class SweepSpec:
             raise ValueError("symbols_per_point must be >= 100")
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
+        # every angle the sweep evaluates; only cos(theta) enters the model,
+        # so an angle outside [1, 180] would silently alias another one
+        theta_e = self.axis_values if self.axis == "theta_e_deg" else (self.theta_e_deg,)
+        for name, values in (("theta-r", (self.theta_r_deg,)), ("theta-e", theta_e)):
+            bad = ", ".join(f"{v:g}" for v in values if not 1 <= v <= 180)
+            if bad:
+                raise ValueError(f"{name} must lie in [1, 180], got {bad}")
 
     def resolved_m(self, n_antennas: int) -> int:
         return self.m_main if self.m_main is not None else n_antennas // 2
@@ -198,31 +204,16 @@ class SymbolStreams:
     aligned: np.ndarray
 
 
-def simulate_streams(
-    ch: ChannelRealization,
-    cfg: ArrayConfig,
-    kind: StrategyKind,
-    m_main: int,
-    l_s: int,
-    theta_e_list,
-    K: int,
-    rng: np.random.Generator,
-) -> SymbolStreams:
-    """Simulate K symbols of one strategy against many observation angles.
+def _draw_weights(
+    ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int, K: int, rng
+):
+    """Draw the weights K symbols of one strategy send.
 
-    Every strategy sends, per symbol, one of R distinct unit-power weight
-    rows W and steers a subset of its candidate paths.  One observation
-    law serves every observer: G = sqrt(N/L) conj(A) W^T, with A the array
-    responses at the observation angles and the candidate path angles.
-    An eavesdropper (unit channel gain) gets G at its angle; the receiver
-    gets the sum of conj(alpha_l) G over the steered paths, as in
-    `signal_engine.eavesdropper_gain` and `coherent_receiver_gain`.
+    Returns (W, cand, steer, row): the R distinct unit-power weight rows
+    W (R, n), the candidate path indices cand, the candidates each row
+    steers as indices into cand (R, S), and the row each symbol sends (K,).
     """
     n, L = cfg.n_antennas, ch.n_paths
-    thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
-    T = thetas.size
-    # Each branch draws the weight rows W (R, n), the candidate paths, the
-    # candidates each row steers (R, S) and the row each symbol sends (K,).
     if kind is StrategyKind.CONVENTIONAL:  # one static beam at the strongest path
         cand, steer = np.array([ch.strongest_index]), np.zeros((1, 1), dtype=int)
         W = array_response(cfg, ch.strongest_aod_deg)[None, :]
@@ -247,6 +238,34 @@ def simulate_streams(
         steer, row = np.stack([np.zeros(K, dtype=int), sec], axis=1), np.arange(K)
     else:
         raise ValueError(f"unknown strategy {kind}")
+    return W, cand, steer, row
+
+
+def simulate_streams(
+    ch: ChannelRealization,
+    cfg: ArrayConfig,
+    kind: StrategyKind,
+    m_main: int,
+    l_s: int,
+    theta_e_list,
+    K: int,
+    rng: np.random.Generator,
+) -> SymbolStreams:
+    """Simulate K symbols of one strategy against many observation angles.
+
+    Every strategy sends, per symbol, one of R distinct unit-power weight
+    rows W and steers a subset of its candidate paths (`_draw_weights`).
+    One observation law serves every observer: G = sqrt(N/L) conj(A) W^T,
+    with A the array responses at the observation angles and the candidate
+    path angles.  An eavesdropper (unit channel gain) gets G at its angle,
+    sqrt(N/L) a(theta_E)^H f; the receiver gets the schedule-known coherent
+    gain, the sum of conj(alpha_l) G over the steered paths only (leakage
+    from unsteered paths is excluded).
+    """
+    n, L = cfg.n_antennas, ch.n_paths
+    thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
+    T = thetas.size
+    W, cand, steer, row = _draw_weights(ch, cfg, kind, m_main, l_s, K, rng)
     cand_aods = ch.aods_deg[cand]
     A = array_response(cfg, np.concatenate([thetas, cand_aods])[:, None])
     G = math.sqrt(n / L) * (np.conj(A) @ W.T)  # (T + candidates, R)

@@ -10,10 +10,16 @@ import math
 import numpy as np
 import pytest
 
+from oracle import full_channel_gain, joint_symbols, observed_gain, receiver_gain, sent_symbols
+
 from mmwsec.analysis import (
     alignment_mixture_snr,
     b_moments,
+    beta_e_hat_term,
+    beta_e_term,
+    beta_r_term,
     db_to_linear,
+    dirichlet_B,
     receiver_snr,
     snr_r_random_path,
 )
@@ -21,25 +27,7 @@ from mmwsec.array_geometry import ArrayConfig
 from mmwsec.channel import channel_stats, sample_channel
 from mmwsec.cli import main as cli_main
 from mmwsec.montecarlo import SweepSpec, run_sweep, simulate_streams
-from mmwsec.signal_engine import (
-    ObserverKind,
-    ObserverSpec,
-    beta_e_hat_term,
-    beta_e_term,
-    beta_r_term,
-    coherent_receiver_gain,
-    dirichlet_B,
-    eavesdropper_gain,
-    receiver_gain,
-)
-from mmwsec.strategies import (
-    StrategyKind,
-    StrategyParams,
-    conventional_plan,
-    joint_plan,
-    random_path_plan,
-    switched_array_plan,
-)
+from mmwsec.strategies import StrategyKind
 
 THETA_R = 40.0
 ALL = tuple(StrategyKind)
@@ -62,9 +50,8 @@ def test_criterion_1_alignment_constant(capsys):
 
 def test_criterion_2_decomposition_oracle(capsys):
     cfg = ArrayConfig(32)
-    params = StrategyParams(16, 5)
     rng = np.random.default_rng(1000)
-    alpha_e = 0.8 + 0.6j
+    sqrt_ln = math.sqrt(12 * 32)
     worst = 0.0
 
     def rel(a, b):
@@ -72,60 +59,37 @@ def test_criterion_2_decomposition_oracle(capsys):
         # of two ~1e-16 roundoff residuals is meaningless
         return abs(a - b) / max(abs(a), abs(b), 1.0)
 
-    for draw in range(1000):
-        if draw % 100 == 0:
-            ch = sample_channel(12, THETA_R, rng)
-            sqrt_ln = math.sqrt(12 * 32)
+    # ten channels, 100 symbols of every strategy's kernel rows on each
+    for seed in range(1000, 1010):
+        ch = sample_channel(12, THETA_R, rng)
         # random-path: receiver per-path component and eavesdropper kernel form
-        plan = random_path_plan(ch, cfg, rng)
-        alpha = ch.paths[plan.main_path_index].gain
-        worst = max(
-            worst,
-            rel(coherent_receiver_gain(ch, plan, cfg), np.conj(alpha) * math.sqrt(32 / 12)),
-        )
-        theta_e = float(rng.integers(1, 181))
-        obs = ObserverSpec(ObserverKind.EAVESDROPPER, theta_e)
-        worst = max(
-            worst,
-            rel(
-                eavesdropper_gain(obs, plan, cfg, alpha_e),
-                np.conj(alpha_e) * dirichlet_B(theta_e, plan.main_aod_deg, cfg) / sqrt_ln,
-            ),
-        )
+        w, paths = sent_symbols(ch, cfg, StrategyKind.RANDOM_PATH, 16, 5, 100, seed)
+        for x, (l,) in zip(w, paths):
+            recv = receiver_gain(ch, cfg, x, [l])
+            worst = max(worst, rel(recv, np.conj(ch.gains[l]) * math.sqrt(32 / 12)))
+            theta_e = float(rng.integers(1, 181))
+            kernel_form = dirichlet_B(theta_e, ch.aods_deg[l], cfg) / sqrt_ln
+            worst = max(worst, rel(observed_gain(cfg, 12, theta_e, x), kernel_form))
         # conventional / switched: direct product is its own decomposition;
         # check the full-channel inner product against the coherent main term
         # plus the cross-path leakage recomputed per path
-        for p in (conventional_plan(ch, cfg), switched_array_plan(ch, cfg, 16, rng)):
-            direct = receiver_gain(ch, p, cfg)
-            from mmwsec.signal_engine import path_term
-
-            parts = sum(path_term(ch, p, cfg, l) for l in range(12))
-            worst = max(worst, rel(direct, parts))
+        for kind in (StrategyKind.CONVENTIONAL, StrategyKind.SWITCHED_ARRAY):
+            for x in sent_symbols(ch, cfg, kind, 16, 5, 100, seed)[0]:
+                parts = receiver_gain(ch, cfg, x, range(12))
+                worst = max(worst, rel(full_channel_gain(ch, cfg, x), parts))
         # joint: receiver beta_R form, eavesdropper beta_E / beta_E_hat forms
-        plan = joint_plan(ch, cfg, params, rng)
-        a_s = ch.paths[plan.main_path_index].gain
-        a_i = ch.paths[plan.secondary_path_index].gain
-        decomposed = (
-            np.conj(a_s) * 16 + np.conj(a_i) * 16 + beta_r_term(ch, plan, cfg)
-        ) / sqrt_ln
-        worst = max(worst, rel(coherent_receiver_gain(ch, plan, cfg), decomposed))
-        off = 77.3  # fractional, so never aligned with an integer-degree path
-        obs = ObserverSpec(ObserverKind.EAVESDROPPER, off)
-        worst = max(
-            worst,
-            rel(
-                eavesdropper_gain(obs, plan, cfg, alpha_e),
-                np.conj(alpha_e) * beta_e_term(plan, off, cfg),
-            ),
-        )
-        obs = ObserverSpec(ObserverKind.EAVESDROPPER, THETA_R)
-        worst = max(
-            worst,
-            rel(
-                eavesdropper_gain(obs, plan, cfg, alpha_e),
-                np.conj(alpha_e) * beta_e_hat_term(plan, THETA_R, cfg) / sqrt_ln,
-            ),
-        )
+        for x, main, paths in zip(*joint_symbols(ch, cfg, 16, 5, 100, seed)):
+            s, i = paths
+            decomposed = (
+                np.conj(ch.gains[s]) * 16 + np.conj(ch.gains[i]) * 16
+                + beta_r_term(ch, cfg, main, paths)
+            ) / sqrt_ln
+            worst = max(worst, rel(receiver_gain(ch, cfg, x, paths), decomposed))
+            off = 77.3  # fractional, so never aligned with an integer-degree path
+            sidelobe = beta_e_term(ch, cfg, main, paths, off)
+            worst = max(worst, rel(observed_gain(cfg, 12, off, x), sidelobe))
+            mainlobe = beta_e_hat_term(ch, cfg, main, paths, THETA_R) / sqrt_ln
+            worst = max(worst, rel(observed_gain(cfg, 12, THETA_R, x), mainlobe))
     report(capsys, 2, worst < 1e-9, f"gain decompositions, worst relative error {worst:.2e}")
 
 

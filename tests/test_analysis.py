@@ -8,12 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import joint_symbols, observed_gain, receiver_gain
+
 from mmwsec.analysis import (
     JointBetaMoments,
     SnrPair,
     alignment_mixture_snr,
     b_moments,
+    beta_e_hat_term,
+    beta_e_term,
+    beta_r_term,
     db_to_linear,
+    dirichlet_B,
     estimate_joint_moments,
     joint_sidelobe_aods,
     linear_to_db,
@@ -29,8 +35,7 @@ from mmwsec.analysis import (
 from mmwsec.array_geometry import ArrayConfig
 from mmwsec.channel import channel_stats, sample_channel
 from mmwsec.montecarlo import simulate_streams
-from mmwsec.signal_engine import beta_e_hat_term, beta_e_term, beta_r_term, dirichlet_B
-from mmwsec.strategies import StrategyKind, StrategyParams, SymbolPlan, secondary_pool
+from mmwsec.strategies import StrategyKind, StrategyParams, secondary_pool
 
 CFG = ArrayConfig(32)
 THETA_R = 40.0
@@ -205,29 +210,21 @@ def test_location_mixture_hand_example():
 
 def _enumerated_joint_moments(ch, cfg, params, theta_e_deg):
     """The joint moments by brute force: every m-subset of antennas times
-    every secondary candidate, each through the scalar beta terms."""
+    every secondary candidate, each through the per-symbol beta terms."""
     n = cfg.n_antennas
     covered, side = joint_sidelobe_aods(ch, params.l_s, theta_e_deg)
     side = side if covered else [theta_e_deg]
     beta_r, beta_e, beta_hat = [], [], []
     for comb in itertools.combinations(range(n), params.m_main):
-        main = np.array(comb)
+        main = np.isin(np.arange(n), comb)
         for sec in secondary_pool(ch, params.l_s):
-            plan = SymbolPlan(  # the beta terms never read the weights
-                kind=StrategyKind.JOINT_PATH_ANTENNA,
-                weights=np.empty(0),
-                main_aod_deg=ch.strongest_aod_deg,
-                main_set=main,
-                n_paths=ch.n_paths,
-                main_path_index=ch.strongest_index,
-                secondary_aod_deg=ch.paths[sec].aod_deg,
-                secondary_set=np.setdiff1d(np.arange(n), main),
-                secondary_path_index=sec,
-            )
-            beta_r.append(beta_r_term(ch, plan, cfg))
-            beta_e += [beta_e_term(plan, t, cfg) * math.sqrt(ch.n_paths * n) for t in side]
-            beta_hat.append(beta_e_hat_term(plan, plan.main_aod_deg, cfg))
-            beta_hat.append(beta_e_hat_term(plan, plan.secondary_aod_deg, cfg))
+            paths = (ch.strongest_index, sec)
+            beta_r.append(beta_r_term(ch, cfg, main, paths))
+            beta_e += [
+                beta_e_term(ch, cfg, main, paths, t) * math.sqrt(ch.n_paths * n) for t in side
+            ]
+            for steered in paths:
+                beta_hat.append(beta_e_hat_term(ch, cfg, main, paths, ch.aods_deg[steered]))
     beta_e = np.array(beta_e)
     be_mean = beta_e.mean() if beta_e.size else 0.0
     return JointBetaMoments(
@@ -265,6 +262,36 @@ def test_joint_moments_match_enumeration(n, L, seed, where, data):
     assert got.beta_e_mean_sq == pytest.approx(want.beta_e_mean_sq, abs=1e-12)
     assert got.beta_e_var == pytest.approx(want.beta_e_var, abs=1e-12)
     assert got.beta_e_hat_mean_sq == pytest.approx(want.beta_e_hat_mean_sq, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    L=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    off=st.integers(1, 179),
+    data=st.data(),
+)
+def test_beta_terms_equal_direct_product(n, L, seed, off, data):
+    # on the joint rows the kernel sends, each beta decomposition equals
+    # the direct h^H f: the receiver's steered-path gain, the sidelobe gain
+    # at an angle neither beam steers (half-degree, so never a path angle)
+    # and the mainlobe gain at the main and at the secondary angle
+    m = data.draw(st.integers(1, n), label="m")
+    l_s = data.draw(st.integers(2, L), label="l_s")
+    cfg = ArrayConfig(n)
+    ch = sample_channel(L, THETA_R, np.random.default_rng(seed))
+    sqrt_ln = math.sqrt(L * n)
+    for w, main, paths in zip(*joint_symbols(ch, cfg, m, l_s, 4, seed)):
+        s, i = paths
+        coherent = np.conj(ch.gains[s]) * m + np.conj(ch.gains[i]) * (n - m)
+        beta_r = beta_r_term(ch, cfg, main, paths)
+        assert abs(receiver_gain(ch, cfg, w, paths) - (coherent + beta_r) / sqrt_ln) <= 1e-9
+        beta_e = beta_e_term(ch, cfg, main, paths, off + 0.5)
+        assert abs(observed_gain(cfg, L, off + 0.5, w) - beta_e) <= 1e-9
+        for theta in ch.aods_deg[paths]:
+            beta_hat = beta_e_hat_term(ch, cfg, main, paths, theta)
+            assert abs(observed_gain(cfg, L, theta, w) - beta_hat / sqrt_ln) <= 1e-9
 
 
 def test_joint_snr_e_matches_monte_carlo():

@@ -92,6 +92,17 @@ def test_switched_subset_size_checked_on_antennas_axis(tmp_path, capsys):
     assert status == ["inapplicable", "ok"]  # a 24-subset of 16 antennas does not exist
 
 
+def test_observation_angles_checked_on_every_axis(tmp_path, capsys):
+    # only cos(theta) enters the model, so 200 deg would alias 160 deg
+    out = tmp_path / "x.csv"
+    args = ["--strategies", "conventional,random-path", *FAST, "-o", str(out)]
+    assert run_cli(["sweep", "--axis", "theta-e", "--values", "0,200,-30", *args]) == 2
+    assert "theta-e must lie in [1, 180], got 0, 200, -30" in capsys.readouterr().err
+    assert run_cli(["sweep", "--theta-r", "181", *args]) == 2
+    assert "theta-r must lie in [1, 180], got 181" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_strategy_list(capsys):
     code = run_cli(["sweep", "--strategies", ",", *FAST])
     assert code != 0

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwsec.array_geometry import ArrayConfig, array_response, steering_phases
+from oracle import joint_symbols, observed_gain, receiver_gain, sent_symbols
+
+from mmwsec.array_geometry import ArrayConfig, array_response, cos_aligned
 from mmwsec.channel import sample_channel
 from mmwsec.montecarlo import (
     ResultTable,
@@ -17,15 +19,7 @@ from mmwsec.montecarlo import (
     run_sweep,
     simulate_streams,
 )
-from mmwsec.signal_engine import (
-    ObserverKind,
-    ObserverSpec,
-    coherent_receiver_gain,
-    cos_aligned,
-    eavesdropper_gain,
-    simulate_symbols,
-)
-from mmwsec.strategies import StrategyKind, StrategyParams, SymbolPlan, secondary_pool
+from mmwsec.strategies import StrategyKind, secondary_pool
 
 ALL = tuple(StrategyKind)
 THETA_R = 40.0
@@ -98,88 +92,42 @@ def test_receiver_reference_gain_convention():
 
 
 def test_streams_match_reference_simulator_values():
-    """The vectorized kernels and the per-symbol reference draw from the
-    same gain alphabet for every strategy."""
+    """The vectorized kernels and the per-symbol oracle give the same gain
+    alphabet for the static beam and the path-hopping beam."""
     cfg = ArrayConfig(32)
     ch = sample_channel(12, THETA_R, np.random.default_rng(72))
-    obs = [
-        ObserverSpec(ObserverKind.RECEIVER, THETA_R),
-        ObserverSpec(ObserverKind.EAVESDROPPER, 55.0),
-    ]
-    for kind in (StrategyKind.CONVENTIONAL, StrategyKind.RANDOM_PATH):
+    for kind, paths in ((StrategyKind.CONVENTIONAL, [ch.strongest_index]),
+                        (StrategyKind.RANDOM_PATH, range(12))):
         streams = simulate_streams(
             ch, cfg, kind, 16, 5, [55.0], 2000, np.random.default_rng(73)
         )
-        ref = simulate_symbols(
-            ch, cfg, kind, StrategyParams(16, 5), obs, 2000, np.random.default_rng(74)
-        )
-        vec_vals = np.unique(np.round(streams.recv, 9))
-        ref_vals = np.unique(np.round(ref.gains[0], 9))
-        assert np.allclose(vec_vals, ref_vals, atol=1e-8)
-        vec_e = np.unique(np.round(streams.eaves[0], 9))
-        ref_e = np.unique(np.round(ref.gains[1], 9))
-        assert np.allclose(vec_e, ref_e, atol=1e-8)
+        beams = [array_response(cfg, ch.aods_deg[l]) for l in paths]
+        ref_r = [receiver_gain(ch, cfg, w, [l]) for w, l in zip(beams, paths)]
+        ref_e = [observed_gain(cfg, 12, 55.0, w) for w in beams]
+        for got, ref in ((streams.recv, ref_r), (streams.eaves[0], ref_e)):
+            assert np.allclose(
+                np.unique(np.round(got, 9)), np.unique(np.round(ref, 9)), atol=1e-8
+            )
 
 
-def test_streams_match_reference_simulator_moments():
-    # switched / joint plans are random per symbol: compare stream moments
+def test_joint_draws_uniform_secondary_paths_and_subsets():
+    # over 10k symbols each pool path is the secondary one 1/(l_s - 1) of
+    # the time, and each antenna sits on the main beam m/N of the time
     cfg = ArrayConfig(32)
     ch = sample_channel(12, THETA_R, np.random.default_rng(75))
-    obs = [
-        ObserverSpec(ObserverKind.RECEIVER, THETA_R),
-        ObserverSpec(ObserverKind.EAVESDROPPER, 55.0),
-    ]
-    for kind in (StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA):
-        streams = simulate_streams(
-            ch, cfg, kind, 16, 5, [55.0], 8000, np.random.default_rng(76)
-        )
-        ref = simulate_symbols(
-            ch, cfg, kind, StrategyParams(16, 5), obs, 8000, np.random.default_rng(77)
-        )
-        assert np.abs(streams.recv).mean() == pytest.approx(
-            np.abs(ref.gains[0]).mean(), rel=0.02
-        )
-        assert np.abs(streams.eaves[0]).mean() == pytest.approx(
-            np.abs(ref.gains[1]).mean(), rel=0.05
-        )
-
-
-def _replayed_plans(ch, cfg, kind, m, l_s, K, rng):
-    """Per-symbol reference plans from the kernel's draw order on `rng`."""
-    n, L, s = cfg.n_antennas, ch.n_paths, ch.strongest_index
-    aods, theta_s = ch.aods_deg, ch.strongest_aod_deg
-    if kind is StrategyKind.CONVENTIONAL:
-        return [SymbolPlan(kind, array_response(cfg, theta_s), theta_s, np.arange(n), L, s)] * K
-    if kind is StrategyKind.RANDOM_PATH:
-        return [
-            SymbolPlan(kind, array_response(cfg, aods[l]), aods[l], np.arange(n), L, l)
-            for l in rng.integers(L, size=K)
-        ]
-    if kind is StrategyKind.SWITCHED_ARRAY:
-        plans = []
-        for active in _random_subsets(rng, K, n, m):
-            w = np.where(active, np.exp(1j * steering_phases(cfg, theta_s)) / np.sqrt(m), 0)
-            plans.append(SymbolPlan(kind, w, theta_s, np.flatnonzero(active), L, s))
-        return plans
-    pool = secondary_pool(ch, l_s)
-    secs = [pool[p] for p in rng.integers(len(pool), size=K)]
-    plans = []
-    for sec, main in zip(secs, _random_subsets(rng, K, n, m)):
-        theta_i = aods[sec]
-        w = np.where(main, array_response(cfg, theta_s), array_response(cfg, theta_i))
-        plans.append(
-            SymbolPlan(
-                kind, w, theta_s, np.flatnonzero(main), L, s,
-                theta_i, np.flatnonzero(~main), sec,
-            )
-        )
-    return plans
+    w, main, paths = joint_symbols(ch, cfg, 16, 12, 10_000, 76)
+    freq = np.bincount(paths[:, 1], minlength=12) / 10_000
+    assert freq[ch.strongest_index] == 0
+    assert np.allclose(np.delete(freq, ch.strongest_index), 1 / 11, atol=0.01)
+    on_main = np.isclose(w, array_response(cfg, THETA_R), rtol=0, atol=1e-12)
+    assert np.array_equal(on_main, main)  # even N: no element is on both beams
+    assert np.allclose(on_main.mean(axis=0), 16 / 32, atol=0.03)
 
 
 def test_streams_match_reference_simulator_per_symbol():
-    """Every symbol of every kernel equals the scalar engine's gains for the
-    plan the kernel drew, at the strongest path, a secondary candidate, a
-    never-steered path angle and two off-path angles."""
+    """Every symbol of every kernel equals the oracle's gains for the
+    weights the kernel sent, at the strongest path, a secondary candidate,
+    a never-steered path angle and two off-path angles."""
     cfg = ArrayConfig(16)
     ch = sample_channel(8, THETA_R, np.random.default_rng(81))
     m, l_s, K = 6, 4, 60
@@ -188,17 +136,16 @@ def test_streams_match_reference_simulator_per_symbol():
     thetas = [THETA_R, ch.aods_deg[pool[0]], ch.aods_deg[never[0]], 55.0, 140.0]
     for kind in ALL:
         streams = simulate_streams(ch, cfg, kind, m, l_s, thetas, K, np.random.default_rng(82))
-        plans = _replayed_plans(ch, cfg, kind, m, l_s, K, np.random.default_rng(82))
-        for k, plan in enumerate(plans):
+        w, paths = sent_symbols(ch, cfg, kind, m, l_s, K, 82)
+        for k in range(K):
             assert streams.recv[k] == pytest.approx(
-                coherent_receiver_gain(ch, plan, cfg), abs=1e-12
+                receiver_gain(ch, cfg, w[k], paths[k]), abs=1e-12
             )
-            steered = [a for a in (plan.main_aod_deg, plan.secondary_aod_deg) if a is not None]
             for t, theta in enumerate(thetas):
-                obs = ObserverSpec(ObserverKind.EAVESDROPPER, theta)
                 assert streams.eaves[t, k] == pytest.approx(
-                    eavesdropper_gain(obs, plan, cfg, 1.0 + 0.0j), abs=1e-12
+                    observed_gain(cfg, ch.n_paths, theta, w[k]), abs=1e-12
                 )
+                steered = ch.aods_deg[paths[k]]
                 assert streams.aligned[t, k] == any(cos_aligned(theta, a) for a in steered)
         # each kind sees aligned and unaligned symbols among the chosen angles
         assert streams.aligned.any() and not streams.aligned.all()

@@ -1,24 +1,20 @@
-"""Unit tests for the per-symbol beamforming plan generators."""
+"""Unit tests for the strategy parameters and for the weight rows each
+strategy sends in the Monte Carlo kernel (`montecarlo._draw_weights`)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import joint_symbols, sent_symbols
 
-from mmwsec.array_geometry import ArrayConfig, array_response, beam_coupling
+from mmwsec.array_geometry import ArrayConfig, array_response
 from mmwsec.channel import sample_channel, top_k_paths
-from mmwsec.strategies import (
-    StrategyKind,
-    StrategyParams,
-    conventional_plan,
-    joint_plan,
-    random_path_plan,
-    secondary_pool,
-    switched_array_plan,
-)
+from mmwsec.montecarlo import _draw_weights, simulate_streams
+from mmwsec.strategies import StrategyKind, StrategyParams, secondary_pool
 
 THETA_R = 40.0
 CFG = ArrayConfig(32)
+A_R = array_response(CFG, THETA_R)
 
 
 @pytest.fixture
@@ -38,71 +34,59 @@ def test_params_validation():
 
 
 def test_conventional_plan_is_static(channel):
-    p1 = conventional_plan(channel, CFG)
-    p2 = conventional_plan(channel, CFG)
-    assert np.array_equal(p1.weights, p2.weights)
-    assert p1.main_aod_deg == THETA_R
-    assert np.array_equal(p1.weights, array_response(CFG, THETA_R))
-    assert beam_coupling(CFG, THETA_R, p1.weights) == pytest.approx(1.0, abs=1e-12)
+    W, cand, steer, row = _draw_weights(
+        channel, CFG, StrategyKind.CONVENTIONAL, 16, 5, 20, np.random.default_rng(0)
+    )
+    assert len(W) == 1 and not row.any()  # every symbol sends the one row
+    assert channel.aods_deg[cand[steer[0]]].tolist() == [THETA_R]
+    assert np.array_equal(W[0], A_R)
+    assert np.vdot(A_R, W[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_switched_plan_subset_and_power(channel):
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        plan = switched_array_plan(channel, CFG, 16, rng)
-        assert plan.kind is StrategyKind.SWITCHED_ARRAY
-        assert plan.main_set.size == 16
-        active = np.abs(plan.weights) > 0
-        assert active.sum() == 16
-        assert np.allclose(np.abs(plan.weights[active]), 1 / 4.0, atol=1e-12)
-        assert np.linalg.norm(plan.weights) == pytest.approx(1.0, abs=1e-12)
+    w, _ = sent_symbols(channel, CFG, StrategyKind.SWITCHED_ARRAY, 16, 5, 20, 12)
+    active = np.abs(w) > 0
+    assert np.all(active.sum(axis=1) == 16)
+    assert np.allclose(np.abs(w[active]), 1 / 4.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(w, axis=1), 1.0, atol=1e-12)
 
 
 def test_switched_plan_coherent_gain_is_sqrt_m_over_n(channel):
     # m coherent terms each of magnitude 1/(sqrt(N) sqrt(m)) -> sqrt(m/N)
-    rng = np.random.default_rng(13)
     for m in (1, 8, 16, 31):
-        plan = switched_array_plan(channel, CFG, m, rng)
-        g = beam_coupling(CFG, THETA_R, plan.weights)
-        assert g == pytest.approx(np.sqrt(m / 32), abs=1e-12)
+        (w,), _ = sent_symbols(channel, CFG, StrategyKind.SWITCHED_ARRAY, m, 5, 1, 13)
+        assert np.vdot(A_R, w) == pytest.approx(np.sqrt(m / 32), abs=1e-12)
 
 
 def test_switched_full_subset_reduces_to_conventional(channel):
-    plan = switched_array_plan(channel, CFG, 32, np.random.default_rng(14))
-    assert np.allclose(plan.weights, conventional_plan(channel, CFG).weights)
+    w, _ = sent_symbols(channel, CFG, StrategyKind.SWITCHED_ARRAY, 32, 5, 5, 14)
+    assert np.allclose(w, A_R)
 
 
 def test_switched_off_path_gain_varies(channel):
-    rng = np.random.default_rng(15)
-    gains = [
-        beam_coupling(CFG, 70.0, switched_array_plan(channel, CFG, 16, rng).weights)
-        for _ in range(1000)
-    ]
+    w, _ = sent_symbols(channel, CFG, StrategyKind.SWITCHED_ARRAY, 16, 5, 1000, 15)
+    gains = np.conj(array_response(CFG, 70.0)) @ w.T
     assert np.var(np.abs(gains)) > 0
 
 
 def test_random_path_plan_uniform_selection(channel):
-    rng = np.random.default_rng(16)
-    counts = np.zeros(12)
-    for _ in range(10_000):
-        plan = random_path_plan(channel, CFG, rng)
-        counts[plan.main_path_index] += 1
-        assert plan.main_aod_deg == channel.paths[plan.main_path_index].aod_deg
-    assert np.allclose(counts / 10_000, 1 / 12, atol=0.01)
+    w, paths = sent_symbols(channel, CFG, StrategyKind.RANDOM_PATH, 16, 5, 10_000, 16)
+    assert np.allclose(np.bincount(paths[:, 0], minlength=12) / 10_000, 1 / 12, atol=0.01)
+    assert np.allclose(w, array_response(CFG, channel.aods_deg[paths]))
 
 
 def test_random_path_plan_coherent_on_chosen_path(channel):
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        plan = random_path_plan(channel, CFG, rng)
-        g = beam_coupling(CFG, plan.main_aod_deg, plan.weights)
-        assert g == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    w, paths = sent_symbols(channel, CFG, StrategyKind.RANDOM_PATH, 16, 5, 20, 17)
+    for x, (l,) in zip(w, paths):
+        assert np.vdot(array_response(CFG, channel.aods_deg[l]), x) == pytest.approx(
+            1.0 + 0.0j, abs=1e-12
+        )
 
 
 def test_random_path_single_path_degenerate():
     ch = sample_channel(1, THETA_R, np.random.default_rng(18))
-    plan = random_path_plan(ch, CFG, np.random.default_rng(19))
-    assert plan.main_path_index == 0
+    _, paths = sent_symbols(ch, CFG, StrategyKind.RANDOM_PATH, 16, 5, 10, 19)
+    assert not paths.any()
 
 
 def test_secondary_pool_excludes_strongest(channel):
@@ -113,39 +97,36 @@ def test_secondary_pool_excludes_strongest(channel):
 
 
 def test_joint_plan_partition_and_magnitudes(channel):
-    rng = np.random.default_rng(20)
-    params = StrategyParams(m_main=16, l_s=5)
-    for _ in range(50):
-        plan = joint_plan(channel, CFG, params, rng)
-        assert plan.main_set.size == 16
-        union = np.union1d(plan.main_set, plan.secondary_set)
-        assert np.array_equal(union, np.arange(32))
-        assert np.intersect1d(plan.main_set, plan.secondary_set).size == 0
-        assert np.allclose(np.abs(plan.weights), 1 / np.sqrt(32), atol=1e-12)
-        assert plan.secondary_aod_deg != plan.main_aod_deg
-        assert plan.secondary_path_index in secondary_pool(channel, 5)
+    w, main, paths = joint_symbols(channel, CFG, 16, 5, 50, 20)
+    assert np.all(main.sum(axis=1) == 16)
+    # the main-beam antennas steer the strongest path, the rest the secondary
+    assert np.all(paths[:, 0] == channel.strongest_index)
+    assert set(paths[:, 1]) <= set(secondary_pool(channel, 5))
+    beams = array_response(CFG, channel.aods_deg[paths][:, :, None])
+    assert np.allclose(w, np.where(main, beams[:, 0], beams[:, 1]), atol=1e-12)
+    assert np.allclose(np.abs(w), 1 / np.sqrt(32), atol=1e-12)
 
 
 def test_joint_plan_main_term_is_m(channel):
     # real part of the main-set contribution to sqrt(N) a(theta_S)^H w sqrt(N)
-    rng = np.random.default_rng(21)
-    plan = joint_plan(channel, CFG, StrategyParams(16, 5), rng)
-    w_main = np.zeros(32, dtype=complex)
-    w_main[plan.main_set] = plan.weights[plan.main_set]
-    contrib = beam_coupling(CFG, plan.main_aod_deg, w_main) * 32
+    (w,), (main,), _ = joint_symbols(channel, CFG, 16, 5, 1, 21)
+    contrib = np.vdot(A_R, np.where(main, w, 0)) * 32
     assert contrib == pytest.approx(16.0 + 0.0j, abs=1e-9)
 
 
 def test_joint_plan_full_m_reduces_to_conventional(channel):
-    plan = joint_plan(channel, CFG, StrategyParams(32, 5), np.random.default_rng(22))
-    assert plan.main_set.size == 32
-    assert np.allclose(plan.weights, conventional_plan(channel, CFG).weights)
+    w, main, _ = joint_symbols(channel, CFG, 32, 5, 5, 22)
+    assert main.all()
+    assert np.allclose(w, A_R)
 
 
 def test_joint_plan_needs_two_paths():
     ch = sample_channel(1, THETA_R, np.random.default_rng(23))
     with pytest.raises(ValueError):
-        joint_plan(ch, CFG, StrategyParams(16, 1), np.random.default_rng(24))
+        simulate_streams(
+            ch, CFG, StrategyKind.JOINT_PATH_ANTENNA, 16, 1, [THETA_R], 10,
+            np.random.default_rng(24),
+        )
 
 
 def test_params_need_a_secondary_candidate():
@@ -156,11 +137,14 @@ def test_params_need_a_secondary_candidate():
 
 
 def test_plans_deterministic_given_seed(channel):
-    p1 = joint_plan(channel, CFG, StrategyParams(16, 5), np.random.default_rng(25))
-    p2 = joint_plan(channel, CFG, StrategyParams(16, 5), np.random.default_rng(25))
-    assert np.array_equal(p1.weights, p2.weights)
-    assert np.array_equal(p1.main_set, p2.main_set)
-    assert p1.secondary_path_index == p2.secondary_path_index
+    draw = [
+        _draw_weights(
+            channel, CFG, StrategyKind.JOINT_PATH_ANTENNA, 16, 5, 20, np.random.default_rng(25)
+        )
+        for _ in range(2)
+    ]
+    for a, b in zip(*draw):
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,11 +160,6 @@ def test_every_plan_has_unit_transmit_power(n, L, seed, data):
     cfg = ArrayConfig(n)
     rng = np.random.default_rng(seed)
     ch = sample_channel(L, THETA_R, rng)
-    plans = [
-        conventional_plan(ch, cfg),
-        switched_array_plan(ch, cfg, m, rng),
-        random_path_plan(ch, cfg, rng),
-        joint_plan(ch, cfg, StrategyParams(m, l_s), rng),
-    ]
-    for plan in plans:
-        assert np.vdot(plan.weights, plan.weights).real == pytest.approx(1.0, abs=1e-12)
+    for kind in StrategyKind:
+        W, *_ = _draw_weights(ch, cfg, kind, m, l_s, 8, rng)
+        assert np.allclose(np.sum(np.abs(W) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
