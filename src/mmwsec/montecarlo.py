@@ -4,7 +4,14 @@ Each sweep point simulates a block of symbols per (strategy, channel
 realization) with vectorized kernels, estimates both observers' SNRs and
 averages the clamped secrecy rate over the channel ensemble.  Random
 streams derive from (base seed, role, strategy, axis index, ensemble
-index) so results are reproducible and schedule-independent.
+index) so results are reproducible and schedule-independent; a channel
+depends only on (base seed, path count, ensemble index), so a sweep draws
+each one once and shares it across strategies and axis points.
+
+`simulate_streams` evaluates one observation law on factored weight rows
+(`_draw_weights`): a beam per symbol, plus, for the switched and joint
+schemes, a per-symbol antenna subset drawn and applied in cache-sized
+chunks of symbols (`SUBSET_CHUNK_ELEMENTS`) as a real-mask GEMM.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -89,6 +96,14 @@ class SweepSpec:
             bad = ", ".join(f"{v:g}" for v in values if not 1 <= v <= 180)
             if bad:
                 raise ValueError(f"{name} must lie in [1, 180], got {bad}")
+        # a NaN or infinite rho would reach the sweep as a NaN SNR or a zero noise floor
+        rho_e = (
+            ("rho-e", self.axis_values) if self.axis == "rho_e_db" else ("rho-e-db", (self.rho_e_db,))
+        )
+        for name, values in (("rho-r-db", (self.rho_r_db,)), rho_e):
+            bad = ", ".join(f"{v:g}" for v in values if not math.isfinite(v))
+            if bad:
+                raise ValueError(f"{name} must be finite, got {bad}")
 
     def resolved_m(self, n_antennas: int) -> int:
         return self.m_main if self.m_main is not None else n_antennas // 2
@@ -181,12 +196,34 @@ def figure_preset(fig_id: int) -> SweepSpec:
 # vectorized symbol-block kernels
 
 
+# Uniforms per subset chunk: the switched and joint kernels walk their
+# symbols SUBSET_CHUNK_ELEMENTS // n at a time, so each chunk's uniforms,
+# mask and gains stay a few hundred KB at any array size.
+SUBSET_CHUNK_ELEMENTS = 1 << 14
+
+
 def _random_subsets(rng, K, n, m) -> np.ndarray:
-    """K uniformly random m-subsets of range(n) as a boolean (K, n) mask."""
-    order = np.argsort(rng.random((K, n)), axis=1)
-    mask = np.zeros((K, n), dtype=bool)
-    np.put_along_axis(mask, order[:, :m], True, axis=1)
+    """K uniformly random m-subsets of range(n), 1 <= m <= n, as a boolean (K, n) mask.
+
+    Row k marks the m smallest of n fresh uniforms; where uniforms tie at
+    the m-th smallest, the lowest-indexed of them fill the row to exactly m.
+    """
+    u = rng.random((K, n))
+    cut = np.partition(u, m - 1, axis=1)[:, m - 1 : m]
+    mask = u <= cut
+    if np.count_nonzero(mask) > K * m:  # some row has uniforms tied at its cut
+        tied = u == cut
+        room = m - np.count_nonzero(u < cut, axis=1, keepdims=True)
+        mask &= ~tied | (np.cumsum(tied, axis=1) <= room)
     return mask
+
+
+def _subset_chunks(rng, K, n, m):
+    """`_random_subsets(rng, K, n, m)` drawn chunk by chunk: yields (first
+    symbol, mask) pairs.  The chunks' uniforms concatenate to one (K, n) draw."""
+    step = max(1, SUBSET_CHUNK_ELEMENTS // n)
+    for start in range(0, K, step):
+        yield start, _random_subsets(rng, min(step, K - start), n, m)
 
 
 @dataclass
@@ -207,38 +244,44 @@ class SymbolStreams:
 def _draw_weights(
     ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int, K: int, rng
 ):
-    """Draw the weights K symbols of one strategy send.
+    """Draw, in factored form, the weights K symbols of one strategy send.
 
-    Returns (W, cand, steer, row): the R distinct unit-power weight rows
-    W (R, n), the candidate path indices cand, the candidates each row
-    steers as indices into cand (R, S), and the row each symbol sends (K,).
+    Returns (B, cand, steer, row, masks): R unit-power beams B (R, n), the
+    candidate path indices cand, the candidates each beam's symbols steer
+    as indices into cand (R, S), and the beam each symbol sends (K,).
+    Conventional and random-path send B[row] itself (masks is None).
+    Switched and joint send w_k = B[row_k] + mask_k (B[0] - B[row_k]): the
+    antennas on symbol k's m-subset carry the main beam B[0]; masks yields
+    (first symbol, mask) per chunk of symbols (`_subset_chunks`), drawn
+    from rng as it is iterated.
     """
     n, L = cfg.n_antennas, ch.n_paths
+    masks = None
     if kind is StrategyKind.CONVENTIONAL:  # one static beam at the strongest path
         cand, steer = np.array([ch.strongest_index]), np.zeros((1, 1), dtype=int)
-        W = array_response(cfg, ch.strongest_aod_deg)[None, :]
+        B = array_response(cfg, ch.strongest_aod_deg)[None, :]
         row = np.zeros(K, dtype=int)
     elif kind is StrategyKind.SWITCHED_ARRAY:  # a fresh m-subset of that beam per symbol
         if not 1 <= m_main <= n:
             raise ValueError(f"subset size m must lie in [1, {n}], got {m_main}")
-        cand, steer = np.array([ch.strongest_index]), np.zeros((K, 1), dtype=int)
+        cand, steer = np.array([ch.strongest_index]), np.zeros((2, 1), dtype=int)
         beam = np.exp(1j * steering_phases(cfg, ch.strongest_aod_deg)) / math.sqrt(m_main)
-        W = _random_subsets(rng, K, n, m_main) * beam
-        row = np.arange(K)
+        B = np.stack([beam, np.zeros(n, dtype=complex)])  # off-subset antennas are silent
+        row, masks = np.ones(K, dtype=int), _subset_chunks(rng, K, n, m_main)
     elif kind is StrategyKind.RANDOM_PATH:  # the full beam at a uniformly drawn path
         cand, steer = np.arange(L), np.arange(L)[:, None]
-        W = array_response(cfg, ch.aods_deg[:, None])
+        B = array_response(cfg, ch.aods_deg[:, None])
         row = rng.integers(L, size=K)
     elif kind is StrategyKind.JOINT_PATH_ANTENNA:  # m-subset at the strongest, rest at a pool path
         StrategyParams(m_main, l_s).validate(n, L)
         cand = np.array([ch.strongest_index, *secondary_pool(ch, l_s)])
-        sec = 1 + rng.integers(cand.size - 1, size=K)
-        beams = array_response(cfg, ch.aods_deg[cand][:, None])
-        W = np.where(_random_subsets(rng, K, n, m_main), beams[0], beams[sec])
-        steer, row = np.stack([np.zeros(K, dtype=int), sec], axis=1), np.arange(K)
+        steer = np.stack([np.zeros(cand.size, dtype=int), np.arange(cand.size)], axis=1)
+        B = array_response(cfg, ch.aods_deg[cand][:, None])
+        row = 1 + rng.integers(cand.size - 1, size=K)  # every pool index before any subset
+        masks = _subset_chunks(rng, K, n, m_main)
     else:
         raise ValueError(f"unknown strategy {kind}")
-    return W, cand, steer, row
+    return B, cand, steer, row, masks
 
 
 def simulate_streams(
@@ -253,26 +296,48 @@ def simulate_streams(
 ) -> SymbolStreams:
     """Simulate K symbols of one strategy against many observation angles.
 
-    Every strategy sends, per symbol, one of R distinct unit-power weight
-    rows W and steers a subset of its candidate paths (`_draw_weights`).
-    One observation law serves every observer: G = sqrt(N/L) conj(A) W^T,
-    with A the array responses at the observation angles and the candidate
-    path angles.  An eavesdropper (unit channel gain) gets G at its angle,
-    sqrt(N/L) a(theta_E)^H f; the receiver gets the schedule-known coherent
+    Every strategy sends, per symbol, a unit-power weight vector w_k drawn
+    in factored form (`_draw_weights`): a beam B[row_k], with the m-subset
+    mask_k switched to the main beam B[0] for switched and joint.  One
+    observation law serves every observer: G = sqrt(N/L) conj(A) w, with A
+    the array responses at the observation angles and the candidate path
+    angles.  An eavesdropper (unit channel gain) gets G at its angle,
+    sqrt(N/L) a(theta_E)^H w; the receiver gets the schedule-known coherent
     gain, the sum of conj(alpha_l) G over the steered paths only (leakage
     from unsteered paths is excluded).
+
+    Per beam the law is one small GEMM, G_B = sqrt(N/L) conj(A) B^T.  The
+    masked strategies add, chunk by chunk of symbols, the real-mask GEMM
+    (sqrt(N/L) conj(A) (B[0] - B[s])) mask_k^T over the symbols sending
+    beam s, so no (K, n) array is ever held.
     """
     n, L = cfg.n_antennas, ch.n_paths
     thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
     T = thetas.size
-    W, cand, steer, row = _draw_weights(ch, cfg, kind, m_main, l_s, K, rng)
+    B, cand, steer, row, masks = _draw_weights(ch, cfg, kind, m_main, l_s, K, rng)
     cand_aods = ch.aods_deg[cand]
-    A = array_response(cfg, np.concatenate([thetas, cand_aods])[:, None])
-    G = math.sqrt(n / L) * (np.conj(A) @ W.T)  # (T + candidates, R)
-    own = G[T + steer, np.arange(len(W))[:, None]]  # each row toward the paths it steers
-    recv = (np.conj(ch.gains[cand][steer]) * own).sum(axis=1)
-    aligned = cos_aligned(thetas[:, None], cand_aods)[:, steer].any(axis=2)  # (T, R)
-    return SymbolStreams(recv[row], G[:T, row], aligned[:, row])
+    conj_A = np.conj(array_response(cfg, np.concatenate([thetas, cand_aods])[:, None]))
+    scale = math.sqrt(n / L)
+    G = scale * (conj_A @ B.T)  # (T + candidates, R): each beam at each observer
+    path_gains = np.conj(ch.gains[cand][steer])  # (R, S)
+    aligned = cos_aligned(thetas[:, None], cand_aods)[:, steer].any(axis=2)[:, row]  # (T, K)
+    if masks is None:
+        own = G[T + steer, np.arange(len(B))[:, None]]  # each beam toward the paths it steers
+        recv = (path_gains * own).sum(axis=1)
+        return SymbolStreams(recv[row], G[:T, row], aligned)
+    # mask GEMM operands, one per beam s: real and imaginary parts of
+    # sqrt(N/L) conj(A) (B[0] - B[s]) interleaved, so the product views as complex
+    D = scale * conj_A[None] * (B[0] - B)[:, None, :]  # (R, T + candidates, n)
+    D = np.stack([D.real, D.imag], axis=2).reshape(len(B), -1, n)
+    recv, eaves = np.empty(K, dtype=complex), np.empty((T, K), dtype=complex)
+    for start, mask in masks:
+        r, on = row[start : start + len(mask)], mask.astype(float)
+        for s in range(1, len(B)):  # masked symbols never send beam 0
+            sym = np.flatnonzero(r == s)
+            Gs = G[:, s] + (on[sym] @ D[s].T).view(complex)  # (symbols, T + candidates)
+            recv[start + sym] = (path_gains[s] * Gs[:, T + steer[s]]).sum(axis=1)
+            eaves[:, start + sym] = Gs[:, :T].T
+    return SymbolStreams(recv, eaves, aligned)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +405,7 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     """
     rows = []
     rho_r = db_to_linear(spec.rho_r_db)
+    channels = {}  # (L, ensemble index) -> channel: one draw serves every strategy and point
     for strat in spec.strategies:
         for axis_idx, value in enumerate(spec.axis_values):
             p = {
@@ -369,7 +435,11 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
             snr_r_acc = np.empty(spec.ensemble)
             snr_e_acc = np.empty(spec.ensemble)
             for ens in range(spec.ensemble):
-                ch = sample_channel(n_pth, spec.theta_r_deg, _channel_rng(spec, n_pth, ens))
+                ch = channels.get((n_pth, ens))
+                if ch is None:
+                    ch = channels[n_pth, ens] = sample_channel(
+                        n_pth, spec.theta_r_deg, _channel_rng(spec, n_pth, ens)
+                    )
                 snr_r, snr_e = evaluate(pt, ch, _plan_rng(spec, strat, axis_idx, ens))
                 rates[ens] = secrecy_rate(SnrPair(snr_r, snr_e))
                 snr_r_acc[ens] = snr_r

@@ -1,10 +1,10 @@
 """Per-symbol numpy oracle for the observation law sqrt(N/L) a(theta)^H f.
 
 `montecarlo.simulate_streams` evaluates the law for a whole symbol block
-in one matrix product.  These helpers evaluate it one weight vector at a
-time with `np.vdot`, on the weights the kernel's draw
-(`montecarlo._draw_weights`) sends, so the tests can hold the kernel to
-it symbol by symbol.
+chunk by chunk on factored weight rows.  These helpers expand the
+kernel's own draw (`montecarlo._draw_weights`) into dense per-symbol
+weights and evaluate the law one weight vector at a time with `np.vdot`,
+so the tests can hold the kernel to it symbol by symbol.
 """
 
 import math
@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from mmwsec.array_geometry import array_response
-from mmwsec.montecarlo import _draw_weights, _random_subsets
-from mmwsec.strategies import StrategyKind, secondary_pool
+from mmwsec.montecarlo import _draw_weights
+from mmwsec.strategies import StrategyKind
 
 
 def observed_gain(cfg, n_paths, theta_deg, w):
@@ -34,18 +34,25 @@ def full_channel_gain(ch, cfg, w):
     return complex(np.vdot(math.sqrt(cfg.n_antennas / ch.n_paths) * h, w))
 
 
+def _expand(ch, cfg, kind, m, l_s, K, seed):
+    """The kernel's draw on `seed` as dense rows: each symbol's weights (K, N),
+    main-beam mask (K, N) and the channel indices of the paths it steers (K, S)."""
+    rng = np.random.default_rng(seed)
+    B, cand, steer, row, masks = _draw_weights(ch, cfg, kind, m, l_s, K, rng)
+    main = np.zeros((K, cfg.n_antennas), dtype=bool)
+    for start, mask in masks or ():
+        main[start : start + len(mask)] = mask
+    return np.where(main, B[0], B[row]), main, cand[steer[row]]
+
+
 def sent_symbols(ch, cfg, kind, m, l_s, K, seed):
     """What the kernel sends on `seed`: each symbol's weights (K, N) and the
     channel indices of the paths it steers (K, S)."""
-    W, cand, steer, row = _draw_weights(ch, cfg, kind, m, l_s, K, np.random.default_rng(seed))
-    return W[row], cand[steer[row]]
+    w, _, paths = _expand(ch, cfg, kind, m, l_s, K, seed)
+    return w, paths
 
 
 def joint_symbols(ch, cfg, m, l_s, K, seed):
     """The joint kernel's symbols on `seed`: weights, main-beam masks (K, N)
-    and (main, secondary) paths.  The masks are replayed from the kernel's
-    draw order: every symbol's pool index first, then the antenna subsets."""
-    w, paths = sent_symbols(ch, cfg, StrategyKind.JOINT_PATH_ANTENNA, m, l_s, K, seed)
-    rng = np.random.default_rng(seed)
-    rng.integers(len(secondary_pool(ch, l_s)), size=K)
-    return w, _random_subsets(rng, K, cfg.n_antennas, m), paths
+    and (main, secondary) paths."""
+    return _expand(ch, cfg, StrategyKind.JOINT_PATH_ANTENNA, m, l_s, K, seed)

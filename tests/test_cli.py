@@ -103,6 +103,20 @@ def test_observation_angles_checked_on_every_axis(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_link_qualities_must_be_finite(tmp_path, capsys, bad):
+    # a NaN rho used to write ok rows holding -inf; an infinite one a 307.79 dB
+    # SNR, or a division by zero
+    out = tmp_path / "x.csv"
+    args = ["--strategies", "conventional,random-path", *FAST, "-o", str(out)]
+    assert run_cli(["sweep", "--axis", "rho-e", "--values", f"10,{bad}", *args]) == 2
+    assert f"rho-e must be finite, got {bad}" in capsys.readouterr().err
+    for flag in ("--rho-r-db", "--rho-e-db"):
+        assert run_cli(["sweep", "--axis", "theta-e", "--values", "40", flag, bad, *args]) == 2
+        assert f"{flag[2:]} must be finite, got {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_strategy_list(capsys):
     code = run_cli(["sweep", "--strategies", ",", *FAST])
     assert code != 0

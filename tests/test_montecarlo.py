@@ -1,18 +1,23 @@
 """Unit tests for the sweep harness and vectorized symbol kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracle import joint_symbols, observed_gain, receiver_gain, sent_symbols
 
+from mmwsec import montecarlo
 from mmwsec.array_geometry import ArrayConfig, array_response, cos_aligned
 from mmwsec.channel import sample_channel
 from mmwsec.montecarlo import (
     ResultTable,
     SweepSpec,
     _random_subsets,
+    _subset_chunks,
     compare_analytic,
     figure_preset,
     receiver_reference_gain,
@@ -79,6 +84,52 @@ def test_random_subsets_shape_and_uniformity():
     assert np.allclose(inclusion, 5 / 16, atol=0.03)
 
 
+class _Uniforms:
+    """Stub generator: `.random` hands out the rows of a fixed (K, n) array in order."""
+
+    def __init__(self, u):
+        self.u, self.taken = u, 0
+
+    def random(self, shape):
+        rows = self.u[self.taken : self.taken + shape[0]]
+        assert rows.shape == shape
+        self.taken += shape[0]
+        return rows.copy()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), K=st.integers(1, 30), data=st.data())
+def test_subset_draw_keeps_m_smallest_and_chunks_concatenate(n, K, data):
+    m = data.draw(st.integers(1, n), label="m")
+    ties = st.integers(0, 3).map(lambda i: i / 4)  # many rows tie at their cut
+    u = data.draw(
+        hnp.arrays(float, (K, n), elements=st.one_of(ties, st.floats(0, 1, exclude_max=True))),
+        label="u",
+    )
+    if m < n:  # force a tie at row 0's m-th smallest
+        srt = np.sort(u[0])
+        u[0][u[0] == srt[m]] = srt[m - 1]
+    mask = _random_subsets(_Uniforms(u), K, n, m)
+    assert np.all(mask.sum(axis=1) == m)
+    for row, keep in zip(u, mask):  # always an m-smallest set, ties or not
+        assert row[keep].max() <= row[~keep].min(initial=1.0)
+    # tie-free rows: the m smallest, which is what an argsort of the row selects
+    srt = np.sort(u, axis=1)
+    tie_free = srt[:, m - 1] < srt[:, m] if m < n else np.ones(K, dtype=bool)
+    by_argsort = np.zeros_like(mask)
+    np.put_along_axis(by_argsort, np.argsort(u, axis=1)[:, :m], True, axis=1)
+    assert np.array_equal(mask[tie_free], by_argsort[tie_free])
+    # chunked draws are one whole-block draw, on crafted and on generated uniforms
+    step = data.draw(st.integers(1, K), label="chunk symbols")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    with mock.patch.object(montecarlo, "SUBSET_CHUNK_ELEMENTS", step * n):
+        chunks = list(_subset_chunks(_Uniforms(u), K, n, m))
+        drawn = np.concatenate([c for _, c in _subset_chunks(np.random.default_rng(seed), K, n, m)])
+    assert [start for start, _ in chunks] == list(range(0, K, step))
+    assert np.array_equal(np.concatenate([c for _, c in chunks]), mask)
+    assert np.array_equal(drawn, _random_subsets(np.random.default_rng(seed), K, n, m))
+
+
 def test_receiver_reference_gain_convention():
     ch = sample_channel(12, THETA_R, np.random.default_rng(71))
     strongest = abs(ch.paths[ch.strongest_index].gain)
@@ -124,10 +175,7 @@ def test_joint_draws_uniform_secondary_paths_and_subsets():
     assert np.allclose(on_main.mean(axis=0), 16 / 32, atol=0.03)
 
 
-def test_streams_match_reference_simulator_per_symbol():
-    """Every symbol of every kernel equals the oracle's gains for the
-    weights the kernel sent, at the strongest path, a secondary candidate,
-    a never-steered path angle and two off-path angles."""
+def _check_streams_against_oracle():
     cfg = ArrayConfig(16)
     ch = sample_channel(8, THETA_R, np.random.default_rng(81))
     m, l_s, K = 6, 4, 60
@@ -149,6 +197,20 @@ def test_streams_match_reference_simulator_per_symbol():
                 assert streams.aligned[t, k] == any(cos_aligned(theta, a) for a in steered)
         # each kind sees aligned and unaligned symbols among the chosen angles
         assert streams.aligned.any() and not streams.aligned.all()
+
+
+def test_streams_match_reference_simulator_per_symbol():
+    """Every symbol of every kernel equals the oracle's gains for the
+    weights the kernel sent, at the strongest path, a secondary candidate,
+    a never-steered path angle and two off-path angles."""
+    _check_streams_against_oracle()
+
+
+def test_streams_match_reference_simulator_across_chunks(monkeypatch):
+    # 7-symbol subset chunks at N = 16: the 60 symbols span eight full chunks
+    # and a partial one
+    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_ELEMENTS", 7 * 16)
+    _check_streams_against_oracle()
 
 
 def test_random_path_alignment_label_frequency():

@@ -34,7 +34,7 @@ def test_params_validation():
 
 
 def test_conventional_plan_is_static(channel):
-    W, cand, steer, row = _draw_weights(
+    W, cand, steer, row, _ = _draw_weights(
         channel, CFG, StrategyKind.CONVENTIONAL, 16, 5, 20, np.random.default_rng(0)
     )
     assert len(W) == 1 and not row.any()  # every symbol sends the one row
@@ -137,12 +137,7 @@ def test_params_need_a_secondary_candidate():
 
 
 def test_plans_deterministic_given_seed(channel):
-    draw = [
-        _draw_weights(
-            channel, CFG, StrategyKind.JOINT_PATH_ANTENNA, 16, 5, 20, np.random.default_rng(25)
-        )
-        for _ in range(2)
-    ]
+    draw = [joint_symbols(channel, CFG, 16, 5, 20, 25) for _ in range(2)]
     for a, b in zip(*draw):
         assert np.array_equal(a, b)
 
@@ -161,5 +156,5 @@ def test_every_plan_has_unit_transmit_power(n, L, seed, data):
     rng = np.random.default_rng(seed)
     ch = sample_channel(L, THETA_R, rng)
     for kind in StrategyKind:
-        W, *_ = _draw_weights(ch, cfg, kind, m, l_s, 8, rng)
+        W, _ = sent_symbols(ch, cfg, kind, m, l_s, 8, seed)
         assert np.allclose(np.sum(np.abs(W) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
