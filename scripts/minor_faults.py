@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Minor page faults, wall and CPU time per `mmwsec figure 3` invocation.
 
-Runs the CLI in-process: one warm-up invocation, then --reps timed ones,
-each counted with resource.getrusage (faults and CPU are the whole
-process's, all threads).  Prints one JSON object.
+Runs `figure 3 --ensemble 8` in-process: one warm-up invocation, then
+five timed ones, each counted with resource.getrusage (faults and CPU
+are the whole process's, all threads).  Prints one JSON object.
 
     python3 scripts/minor_faults.py                      # this checkout's src/
     python3 scripts/minor_faults.py --src OTHER/src      # another checkout
@@ -20,21 +20,22 @@ import tempfile
 import time
 from pathlib import Path
 
+ENSEMBLE = 8
+REPS = 5
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--ensemble", type=int, default=8)
-    parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from mmwsec.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
-        cmd = ["figure", "3", "--ensemble", str(args.ensemble), "-o", str(Path(tmp) / "out.csv")]
+        cmd = ["figure", "3", "--ensemble", str(ENSEMBLE), "-o", str(Path(tmp) / "out.csv")]
         cli_main(cmd)  # warm-up: imports, allocator and BLAS set-up
         faults, wall, cpu = [], [], []
-        for _ in range(args.reps):
+        for _ in range(REPS):
             r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
             if cli_main(cmd) != 0:
                 raise SystemExit("mmwsec figure 3 failed")

@@ -11,7 +11,8 @@ each one once and shares it across strategies and axis points.
 `simulate_streams` evaluates one observation law on factored weight rows
 (`_draw_weights`): a beam per symbol, plus, for the switched and joint
 schemes, a per-symbol antenna subset drawn and applied in cache-sized
-chunks of symbols (`SUBSET_CHUNK_ELEMENTS`) as a real-mask GEMM.
+chunks of symbols (`SUBSET_CHUNK_ELEMENTS`, but at least
+`SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM` per masked beam) as a real-mask GEMM.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -198,8 +199,11 @@ def figure_preset(fig_id: int) -> SweepSpec:
 
 # Uniforms per subset chunk: the switched and joint kernels walk their
 # symbols SUBSET_CHUNK_ELEMENTS // n at a time, so each chunk's uniforms,
-# mask and gains stay a few hundred KB at any array size.
+# mask and gains stay a few hundred KB at moderate array sizes.  A chunk
+# also holds at least SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM symbols per masked
+# beam, so at large n the per-beam GEMMs do not shrink to a few rows each.
 SUBSET_CHUNK_ELEMENTS = 1 << 14
+SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM = 32
 
 
 def _random_subsets(rng, K, n, m) -> np.ndarray:
@@ -218,10 +222,11 @@ def _random_subsets(rng, K, n, m) -> np.ndarray:
     return mask
 
 
-def _subset_chunks(rng, K, n, m):
-    """`_random_subsets(rng, K, n, m)` drawn chunk by chunk: yields (first
-    symbol, mask) pairs.  The chunks' uniforms concatenate to one (K, n) draw."""
-    step = max(1, SUBSET_CHUNK_ELEMENTS // n)
+def _subset_chunks(rng, K, n, m, beams):
+    """`_random_subsets(rng, K, n, m)` drawn chunk by chunk for symbols
+    spread over `beams` masked beams: yields (first symbol, mask) pairs.
+    The chunks' uniforms concatenate to one (K, n) draw."""
+    step = max(1, SUBSET_CHUNK_ELEMENTS // n, SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM * beams)
     for start in range(0, K, step):
         yield start, _random_subsets(rng, min(step, K - start), n, m)
 
@@ -267,7 +272,7 @@ def _draw_weights(
         cand, steer = np.array([ch.strongest_index]), np.zeros((2, 1), dtype=int)
         beam = np.exp(1j * steering_phases(cfg, ch.strongest_aod_deg)) / math.sqrt(m_main)
         B = np.stack([beam, np.zeros(n, dtype=complex)])  # off-subset antennas are silent
-        row, masks = np.ones(K, dtype=int), _subset_chunks(rng, K, n, m_main)
+        row, masks = np.ones(K, dtype=int), _subset_chunks(rng, K, n, m_main, 1)
     elif kind is StrategyKind.RANDOM_PATH:  # the full beam at a uniformly drawn path
         cand, steer = np.arange(L), np.arange(L)[:, None]
         B = array_response(cfg, ch.aods_deg[:, None])
@@ -278,7 +283,7 @@ def _draw_weights(
         steer = np.stack([np.zeros(cand.size, dtype=int), np.arange(cand.size)], axis=1)
         B = array_response(cfg, ch.aods_deg[cand][:, None])
         row = 1 + rng.integers(cand.size - 1, size=K)  # every pool index before any subset
-        masks = _subset_chunks(rng, K, n, m_main)
+        masks = _subset_chunks(rng, K, n, m_main, cand.size - 1)
     else:
         raise ValueError(f"unknown strategy {kind}")
     return B, cand, steer, row, masks

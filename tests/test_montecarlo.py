@@ -16,6 +16,7 @@ from mmwsec.channel import sample_channel
 from mmwsec.montecarlo import (
     ResultTable,
     SweepSpec,
+    _draw_weights,
     _random_subsets,
     _subset_chunks,
     compare_analytic,
@@ -122,12 +123,23 @@ def test_subset_draw_keeps_m_smallest_and_chunks_concatenate(n, K, data):
     # chunked draws are one whole-block draw, on crafted and on generated uniforms
     step = data.draw(st.integers(1, K), label="chunk symbols")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    with mock.patch.object(montecarlo, "SUBSET_CHUNK_ELEMENTS", step * n):
-        chunks = list(_subset_chunks(_Uniforms(u), K, n, m))
-        drawn = np.concatenate([c for _, c in _subset_chunks(np.random.default_rng(seed), K, n, m)])
+    with mock.patch.multiple(
+        montecarlo, SUBSET_CHUNK_ELEMENTS=step * n, SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM=1
+    ):
+        chunks = list(_subset_chunks(_Uniforms(u), K, n, m, 1))
+        drawn = np.concatenate(
+            [c for _, c in _subset_chunks(np.random.default_rng(seed), K, n, m, 1)]
+        )
     assert [start for start, _ in chunks] == list(range(0, K, step))
     assert np.array_equal(np.concatenate([c for _, c in chunks]), mask)
     assert np.array_equal(drawn, _random_subsets(np.random.default_rng(seed), K, n, m))
+
+
+def test_subset_chunks_keep_a_floor_of_symbols_per_beam():
+    # at n = 2048 the element budget alone would give 8-symbol chunks
+    rng = np.random.default_rng(5)
+    starts = [start for start, _ in _subset_chunks(rng, 100, 2048, 3, 2)]
+    assert starts == [0, 2 * montecarlo.SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM]
 
 
 def test_receiver_reference_gain_convention():
@@ -171,8 +183,16 @@ def test_joint_draws_uniform_secondary_paths_and_subsets():
     assert freq[ch.strongest_index] == 0
     assert np.allclose(np.delete(freq, ch.strongest_index), 1 / 11, atol=0.01)
     on_main = np.isclose(w, array_response(cfg, THETA_R), rtol=0, atol=1e-12)
-    assert np.array_equal(on_main, main)  # even N: no element is on both beams
     assert np.allclose(on_main.mean(axis=0), 16 / 32, atol=0.03)
+    # draw order: every symbol's pool index first, then the antenna subsets
+    _, cand, _, row, masks = _draw_weights(
+        ch, cfg, StrategyKind.JOINT_PATH_ANTENNA, 16, 12, 10_000, np.random.default_rng(76)
+    )
+    replay = np.random.default_rng(76)
+    assert np.array_equal(row, 1 + replay.integers(cand.size - 1, size=10_000))
+    assert np.array_equal(
+        np.concatenate([mask for _, mask in masks]), _random_subsets(replay, 10_000, 32, 16)
+    )
 
 
 def _check_streams_against_oracle():
@@ -210,6 +230,7 @@ def test_streams_match_reference_simulator_across_chunks(monkeypatch):
     # 7-symbol subset chunks at N = 16: the 60 symbols span eight full chunks
     # and a partial one
     monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_ELEMENTS", 7 * 16)
+    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM", 1)
     _check_streams_against_oracle()
 
 
