@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Milliseconds per switched and joint `simulate_streams` block, N = 16 to 1024.
+
+Times one block of K = 10,000 symbols at L = 12 paths, m = N/2 antennas
+on the main beam, observed at 40 and 55 degrees: switched once per N,
+joint at l_s = 5 and 12.  Every call draws a fresh channel, so no call
+reuses an operator built by the one before.  Prints one JSON object with
+the median over REPS calls per configuration (fewer at N = 1024).
+
+    python3 scripts/kernel_ms.py                      # this checkout's src/
+    python3 scripts/kernel_ms.py --src OTHER/src      # another checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ANTENNAS = (16, 32, 64, 256, 1024)
+POOLS = (5, 12)
+K, L, THETA_R, ANGLES = 10_000, 12, 40.0, (40.0, 55.0)
+REPS, REPS_LARGE = 11, 5
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from mmwsec.array_geometry import ArrayConfig
+    from mmwsec.channel import sample_channel
+    from mmwsec.montecarlo import simulate_streams
+    from mmwsec.strategies import StrategyKind
+
+    seeds = itertools.count()
+    configs = [("switched", StrategyKind.SWITCHED_ARRAY, n, POOLS[0]) for n in ANTENNAS]
+    configs += [("joint", StrategyKind.JOINT_PATH_ANTENNA, n, ls) for n in ANTENNAS for ls in POOLS]
+    table = {}
+    for name, kind, n, l_s in configs:
+        cfg, ms = ArrayConfig(n), []
+        for _ in range(1 + (REPS_LARGE if n >= 1024 else REPS)):  # the first call warms up
+            seed = next(seeds)
+            ch = sample_channel(L, THETA_R, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            t0 = time.perf_counter()
+            simulate_streams(ch, cfg, kind, n // 2, l_s, ANGLES, K, rng)
+            ms.append((time.perf_counter() - t0) * 1e3)
+        label = f"{name} N={n}" + (f" l_s={l_s}" if name == "joint" else "")
+        table[label] = round(statistics.median(ms[1:]), 2)
+    print(json.dumps({"src": args.src, "K": K, "L": L, "median_ms": table}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

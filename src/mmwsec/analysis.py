@@ -177,21 +177,23 @@ def receiver_snr(samples, noise_power_linear: float) -> float:
 
 
 def alignment_mixture_snr(gains, labels, noise_power_linear: float) -> float:
-    """Eavesdropper SNR conditioned on per-symbol alignment events.
+    """Eavesdropper SNR conditioned on the per-symbol alignment event.
 
-    Symbols are grouped by their alignment label (e.g. aligned with the
-    transmit angle vs not); each group's SNR uses the coherent-mean /
-    variance estimator and the groups mix with empirical frequencies.
-    Mirrors the closed forms' probability-weighted structure.
+    labels is cast to a boolean mask, true where a symbol is aligned with
+    the transmit angle.  Symbols split into the unaligned and the aligned
+    group, summed in that order (`np.unique`'s order of the two labels);
+    each nonempty group's SNR uses the coherent-mean / variance estimator
+    and the groups mix with empirical frequencies.  Mirrors the closed
+    forms' probability-weighted structure.
     """
     g = np.asarray(gains, dtype=complex)
-    labels = np.asarray(labels)
-    if g.size != labels.size:
+    aligned = np.asarray(labels, dtype=bool)
+    if g.size != aligned.size:
         raise ValueError("gains and labels must have equal length")
     total = 0.0
-    for lab in np.unique(labels):
-        sel = g[labels == lab]
-        total += (sel.size / g.size) * _coherent_snr(sel, noise_power_linear)
+    for sel in (g[~aligned], g[aligned]):
+        if sel.size:
+            total += (sel.size / g.size) * _coherent_snr(sel, noise_power_linear)
     return total
 
 

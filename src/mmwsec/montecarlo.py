@@ -13,6 +13,12 @@ each one once and shares it across strategies and axis points.
 schemes, a per-symbol antenna subset drawn and applied in cache-sized
 chunks of symbols (`SUBSET_CHUNK_ELEMENTS`, but at least
 `SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM` per masked beam) as a real-mask GEMM.
+The receiver is one more observer row per beam, so each GEMM yields every
+observer's gain.  The deterministic part of a block (beams, alignment
+table, GEMM operands: `_beams`, `_operator`) is memoized for the last
+(strategy, channel, angles) key; the sweep runs the axis points innermost,
+so the nine rho_E points of a figure share one build, and only the random
+draws are repeated per point.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -23,6 +29,7 @@ used.  The eavesdropper carries unit channel gain and noise 1/rho_E.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,6 +112,12 @@ class SweepSpec:
             bad = ", ".join(f"{v:g}" for v in values if not math.isfinite(v))
             if bad:
                 raise ValueError(f"{name} must be finite, got {bad}")
+        # the sweep builds an array or channel of int(value) antennas or paths
+        if self.axis in ("n_antennas", "n_paths"):
+            name = "antennas" if self.axis == "n_antennas" else "paths"
+            bad = ", ".join(f"{v:g}" for v in self.axis_values if not float(v).is_integer())
+            if bad:
+                raise ValueError(f"{name} values must be whole numbers, got {bad}")
 
     def resolved_m(self, n_antennas: int) -> int:
         return self.m_main if self.m_main is not None else n_antennas // 2
@@ -238,7 +251,9 @@ class SymbolStreams:
     recv holds the receiver's schedule-known coherent gains (K,); eaves
     holds the eavesdropper gains at each requested observation angle
     (T, K); aligned marks, per angle, the symbols that steer a beam at a
-    path sharing that angle's cosine (T, K).
+    path sharing that angle's cosine (T, K).  recv and eaves are views into
+    one symbol-major (K, T + 1) block, so eaves is the transpose of its
+    first T columns.
     """
 
     recv: np.ndarray
@@ -246,47 +261,106 @@ class SymbolStreams:
     aligned: np.ndarray
 
 
-def _draw_weights(
-    ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int, K: int, rng
-):
-    """Draw, in factored form, the weights K symbols of one strategy send.
+def _read_only(*arrays):
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return arrays
 
-    Returns (B, cand, steer, row, masks): R unit-power beams B (R, n), the
-    candidate path indices cand, the candidates each beam's symbols steer
-    as indices into cand (R, S), and the beam each symbol sends (K,).
-    Conventional and random-path send B[row] itself (masks is None).
-    Switched and joint send w_k = B[row_k] + mask_k (B[0] - B[row_k]): the
-    antennas on symbol k's m-subset carry the main beam B[0]; masks yields
-    (first symbol, mask) per chunk of symbols (`_subset_chunks`), drawn
-    from rng as it is iterated.
+
+@functools.lru_cache(maxsize=1)
+def _beams(ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int):
+    """The deterministic half of a strategy's draw: (B, cand, steer).
+
+    R unit-power beams B (R, n), the candidate path indices cand, and the
+    candidates each beam's symbols steer, as indices into cand (R, S).
+    Memoized for the last (channel, strategy) key, as read-only arrays.
     """
     n, L = cfg.n_antennas, ch.n_paths
-    masks = None
     if kind is StrategyKind.CONVENTIONAL:  # one static beam at the strongest path
         cand, steer = np.array([ch.strongest_index]), np.zeros((1, 1), dtype=int)
         B = array_response(cfg, ch.strongest_aod_deg)[None, :]
-        row = np.zeros(K, dtype=int)
     elif kind is StrategyKind.SWITCHED_ARRAY:  # a fresh m-subset of that beam per symbol
         if not 1 <= m_main <= n:
             raise ValueError(f"subset size m must lie in [1, {n}], got {m_main}")
         cand, steer = np.array([ch.strongest_index]), np.zeros((2, 1), dtype=int)
         beam = np.exp(1j * steering_phases(cfg, ch.strongest_aod_deg)) / math.sqrt(m_main)
         B = np.stack([beam, np.zeros(n, dtype=complex)])  # off-subset antennas are silent
-        row, masks = np.ones(K, dtype=int), _subset_chunks(rng, K, n, m_main, 1)
     elif kind is StrategyKind.RANDOM_PATH:  # the full beam at a uniformly drawn path
         cand, steer = np.arange(L), np.arange(L)[:, None]
         B = array_response(cfg, ch.aods_deg[:, None])
-        row = rng.integers(L, size=K)
     elif kind is StrategyKind.JOINT_PATH_ANTENNA:  # m-subset at the strongest, rest at a pool path
         StrategyParams(m_main, l_s).validate(n, L)
         cand = np.array([ch.strongest_index, *secondary_pool(ch, l_s)])
         steer = np.stack([np.zeros(cand.size, dtype=int), np.arange(cand.size)], axis=1)
         B = array_response(cfg, ch.aods_deg[cand][:, None])
-        row = 1 + rng.integers(cand.size - 1, size=K)  # every pool index before any subset
-        masks = _subset_chunks(rng, K, n, m_main, cand.size - 1)
     else:
         raise ValueError(f"unknown strategy {kind}")
+    return _read_only(B, cand, steer)
+
+
+def _draw_weights(
+    ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int, K: int, rng
+):
+    """Draw, in factored form, the weights K symbols of one strategy send.
+
+    Returns (B, cand, steer, row, masks): the strategy's beams (`_beams`)
+    and the beam each symbol sends (K,).  Conventional and random-path send
+    B[row] itself (masks is None).  Switched and joint send
+    w_k = B[row_k] + mask_k (B[0] - B[row_k]): the antennas on symbol k's
+    m-subset carry the main beam B[0]; masks yields (first symbol, mask)
+    per chunk of symbols (`_subset_chunks`), drawn from rng as it is
+    iterated, after row.
+    """
+    B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
+    n, masks = cfg.n_antennas, None
+    if kind is StrategyKind.CONVENTIONAL:
+        row = np.zeros(K, dtype=int)
+    elif kind is StrategyKind.SWITCHED_ARRAY:
+        row, masks = np.ones(K, dtype=int), _subset_chunks(rng, K, n, m_main, 1)
+    elif kind is StrategyKind.RANDOM_PATH:
+        row = rng.integers(ch.n_paths, size=K)
+    else:
+        row = 1 + rng.integers(cand.size - 1, size=K)  # every pool index before any subset
+        masks = _subset_chunks(rng, K, n, m_main, cand.size - 1)
     return B, cand, steer, row, masks
+
+
+@functools.lru_cache(maxsize=1)
+def _operator(
+    ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int, angles
+):
+    """The angle-dependent observation operator of one (strategy, channel).
+
+    Per beam s the observers are the T eavesdroppers at `angles` (a tuple
+    of degrees), sqrt(N/L) conj(a(theta)), and the receiver,
+    sqrt(N/L) conj(sum of alpha_l a(theta_l)) over the paths beam s steers.
+    Returns (table, G, D): the alignment table (T, R), true where beam s
+    steers a path sharing angle t's cosine; each beam at each observer,
+    G (R, T + 1) with the receiver last; and, for the masked strategies,
+    the mask GEMM operands D (R, n, 2(T + 1)), the real and imaginary parts
+    of (observers * (B[0] - B[s]))^T interleaved so a product views as
+    complex (None otherwise).  Memoized for the last key, as read-only
+    arrays.
+    """
+    B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
+    n, L, T = cfg.n_antennas, ch.n_paths, len(angles)
+    thetas, cand_aods = np.array(angles, dtype=float), ch.aods_deg[cand]
+    table = cos_aligned(thetas[:, None], cand_aods)[:, steer].any(axis=2)
+    scale = math.sqrt(n / L)
+    obs = np.empty((len(B), T + 1, n), dtype=complex)  # each beam's observer rows
+    obs[:, :T] = scale * np.conj(array_response(cfg, thetas[:, None]))
+    steered = ch.gains[cand][steer][:, :, None] * array_response(cfg, cand_aods[:, None])[steer]
+    obs[:, T] = scale * np.conj(steered.sum(axis=1))
+    G = (obs @ B[:, :, None])[:, :, 0]
+    D = None
+    if kind in (StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA):
+        D = obs * (B[0] - B)[:, None, :]  # (R, T + 1, n)
+        D = np.stack([D.real, D.imag], axis=3).transpose(0, 2, 1, 3).reshape(len(B), n, -1)
+    return _read_only(table, G, D)
+
+
+_MEMOS = (_beams, _operator)
 
 
 def simulate_streams(
@@ -304,45 +378,39 @@ def simulate_streams(
     Every strategy sends, per symbol, a unit-power weight vector w_k drawn
     in factored form (`_draw_weights`): a beam B[row_k], with the m-subset
     mask_k switched to the main beam B[0] for switched and joint.  One
-    observation law serves every observer: G = sqrt(N/L) conj(A) w, with A
-    the array responses at the observation angles and the candidate path
-    angles.  An eavesdropper (unit channel gain) gets G at its angle,
-    sqrt(N/L) a(theta_E)^H w; the receiver gets the schedule-known coherent
-    gain, the sum of conj(alpha_l) G over the steered paths only (leakage
-    from unsteered paths is excluded).
+    observation law serves every observer: its gain is o w, with o its
+    observer row (`_operator`).  An eavesdropper (unit channel gain) at
+    theta_E gets sqrt(N/L) a(theta_E)^H w; the receiver gets the
+    schedule-known coherent gain, sqrt(N/L) sum of conj(alpha_l)
+    a(theta_l)^H w over the steered paths only (leakage from unsteered
+    paths is excluded), so each beam has its own receiver row.
 
-    Per beam the law is one small GEMM, G_B = sqrt(N/L) conj(A) B^T.  The
+    Per beam the law is G (R, T + 1), each beam at each observer.  The
     masked strategies add, chunk by chunk of symbols, the real-mask GEMM
-    (sqrt(N/L) conj(A) (B[0] - B[s])) mask_k^T over the symbols sending
-    beam s, so no (K, n) array is ever held.
+    mask_k D[s] over the symbols sending beam s, writing whole rows of one
+    (K, T + 1) block, so no (K, n) array is ever held.  The operator is
+    built once per (strategy, channel, angles) and reused while the key
+    repeats; only row and the masks are drawn per call.
     """
-    n, L = cfg.n_antennas, ch.n_paths
     thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
     T = thetas.size
-    B, cand, steer, row, masks = _draw_weights(ch, cfg, kind, m_main, l_s, K, rng)
-    cand_aods = ch.aods_deg[cand]
-    conj_A = np.conj(array_response(cfg, np.concatenate([thetas, cand_aods])[:, None]))
-    scale = math.sqrt(n / L)
-    G = scale * (conj_A @ B.T)  # (T + candidates, R): each beam at each observer
-    path_gains = np.conj(ch.gains[cand][steer])  # (R, S)
-    aligned = cos_aligned(thetas[:, None], cand_aods)[:, steer].any(axis=2)[:, row]  # (T, K)
+    _, _, _, row, masks = _draw_weights(ch, cfg, kind, m_main, l_s, K, rng)
+    table, G, D = _operator(ch, cfg, kind, m_main, l_s, tuple(thetas.tolist()))
     if masks is None:
-        own = G[T + steer, np.arange(len(B))[:, None]]  # each beam toward the paths it steers
-        recv = (path_gains * own).sum(axis=1)
-        return SymbolStreams(recv[row], G[:T, row], aligned)
-    # mask GEMM operands, one per beam s: real and imaginary parts of
-    # sqrt(N/L) conj(A) (B[0] - B[s]) interleaved, so the product views as complex
-    D = scale * conj_A[None] * (B[0] - B)[:, None, :]  # (R, T + candidates, n)
-    D = np.stack([D.real, D.imag], axis=2).reshape(len(B), -1, n)
-    recv, eaves = np.empty(K, dtype=complex), np.empty((T, K), dtype=complex)
-    for start, mask in masks:
-        r, on = row[start : start + len(mask)], mask.astype(float)
-        for s in range(1, len(B)):  # masked symbols never send beam 0
-            sym = np.flatnonzero(r == s)
-            Gs = G[:, s] + (on[sym] @ D[s].T).view(complex)  # (symbols, T + candidates)
-            recv[start + sym] = (path_gains[s] * Gs[:, T + steer[s]]).sum(axis=1)
-            eaves[:, start + sym] = Gs[:, :T].T
-    return SymbolStreams(recv, eaves, aligned)
+        out = G[row]
+    else:
+        out = np.empty((K, T + 1), dtype=complex)
+        # a row as one opaque item, so each scatter below copies whole rows
+        row_item = np.dtype((np.void, out.itemsize * (T + 1)))
+        out_rows = out.view(row_item)[:, 0]
+        for start, mask in masks:
+            r, on = row[start : start + len(mask)], mask.astype(float)
+            for s in range(1, len(G)):  # masked symbols never send beam 0
+                sym = np.flatnonzero(r == s)
+                gains = (on[sym] @ D[s]).view(complex)
+                gains += G[s]
+                out_rows[start + sym] = gains.view(row_item)[:, 0]
+    return SymbolStreams(out[:, T], out[:, :T].T, table[:, row])
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +474,20 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
 
     evaluate(point, ch, rng) returns one channel's linear (snr_r, snr_e);
     rng is the plan stream of that (strategy, axis value, channel), which
-    only the Monte Carlo evaluation reads.
+    only the Monte Carlo evaluation reads.  The loop runs strategy, then
+    ensemble index, then axis point, so consecutive Monte Carlo calls on
+    the rho_E axis share one channel and reuse its memoized beams and
+    observation operator (`_beams`, `_operator`); the memo is cleared here,
+    so nothing carries over from an earlier sweep.  Every random stream is
+    still keyed by its own (strategy, axis index, ensemble index).
     """
+    for memo in _MEMOS:
+        memo.cache_clear()
     rows = []
     rho_r = db_to_linear(spec.rho_r_db)
     channels = {}  # (L, ensemble index) -> channel: one draw serves every strategy and point
     for strat in spec.strategies:
+        points = []  # per axis value: its point, or None if inapplicable
         for axis_idx, value in enumerate(spec.axis_values):
             p = {
                 "n_antennas": spec.n_antennas,
@@ -421,36 +497,41 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
             }
             p[spec.axis] = int(value) if spec.axis in ("n_antennas", "n_paths") else float(value)
             n_ant, n_pth = p["n_antennas"], p["n_paths"]
-            if not _strategy_applicable(strat, spec, n_ant, n_pth):
+            pt = None
+            if _strategy_applicable(strat, spec, n_ant, n_pth):
+                pt = _Point(
+                    strat,
+                    ArrayConfig(n_ant, spec.spacing_over_wavelength),
+                    n_pth,
+                    spec.resolved_m(n_ant),
+                    min(spec.l_s, n_pth),
+                    p["theta_e_deg"],
+                    rho_r,
+                    db_to_linear(p["rho_e_db"]),
+                )
+            points.append(pt)
+        rates, snr_r_acc, snr_e_acc = np.empty((3, len(points), spec.ensemble))
+        for ens in range(spec.ensemble):
+            for axis_idx, pt in enumerate(points):
+                if pt is None:
+                    continue
+                ch = channels.get((pt.n_paths, ens))
+                if ch is None:
+                    ch = channels[pt.n_paths, ens] = sample_channel(
+                        pt.n_paths, spec.theta_r_deg, _channel_rng(spec, pt.n_paths, ens)
+                    )
+                snr_r, snr_e = evaluate(pt, ch, _plan_rng(spec, strat, axis_idx, ens))
+                rates[axis_idx, ens] = secrecy_rate(SnrPair(snr_r, snr_e))
+                snr_r_acc[axis_idx, ens] = snr_r
+                snr_e_acc[axis_idx, ens] = snr_e
+        for i, (value, pt) in enumerate(zip(spec.axis_values, points)):
+            if pt is None:
                 rows.append(
                     SweepRow(strat, spec.axis, float(value), None, None, None, None, "inapplicable")
                 )
                 continue
-            pt = _Point(
-                strat,
-                ArrayConfig(n_ant, spec.spacing_over_wavelength),
-                n_pth,
-                spec.resolved_m(n_ant),
-                min(spec.l_s, n_pth),
-                p["theta_e_deg"],
-                rho_r,
-                db_to_linear(p["rho_e_db"]),
-            )
-            rates = np.empty(spec.ensemble)
-            snr_r_acc = np.empty(spec.ensemble)
-            snr_e_acc = np.empty(spec.ensemble)
-            for ens in range(spec.ensemble):
-                ch = channels.get((n_pth, ens))
-                if ch is None:
-                    ch = channels[n_pth, ens] = sample_channel(
-                        n_pth, spec.theta_r_deg, _channel_rng(spec, n_pth, ens)
-                    )
-                snr_r, snr_e = evaluate(pt, ch, _plan_rng(spec, strat, axis_idx, ens))
-                rates[ens] = secrecy_rate(SnrPair(snr_r, snr_e))
-                snr_r_acc[ens] = snr_r
-                snr_e_acc[ens] = snr_e
             stderr = (
-                float(rates.std(ddof=1) / math.sqrt(spec.ensemble))
+                float(rates[i].std(ddof=1) / math.sqrt(spec.ensemble))
                 if spec.ensemble > 1
                 else 0.0
             )
@@ -459,9 +540,9 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
                     strat,
                     spec.axis,
                     float(value),
-                    linear_to_db(float(snr_r_acc.mean())),
-                    linear_to_db(float(snr_e_acc.mean())),
-                    float(rates.mean()),
+                    linear_to_db(float(snr_r_acc[i].mean())),
+                    linear_to_db(float(snr_e_acc[i].mean())),
+                    float(rates[i].mean()),
                     stderr,
                     "ok",
                 )

@@ -117,6 +117,18 @@ def test_link_qualities_must_be_finite(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["antennas", "paths"])
+@pytest.mark.parametrize("bad", ["16.5", "inf", "nan"])
+def test_count_axes_take_whole_numbers(tmp_path, capsys, axis, bad):
+    # 16.5 used to write a row labelled 16.5 holding N = 16's numbers; inf
+    # ended in an OverflowError traceback, nan in numpy's conversion error
+    out = tmp_path / "x.csv"
+    args = ["--strategies", "conventional", *FAST, "-o", str(out)]
+    assert run_cli(["sweep", "--axis", axis, "--values", f"16,{bad}", *args]) == 2
+    assert f"{axis} values must be whole numbers, got {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_strategy_list(capsys):
     code = run_cli(["sweep", "--strategies", ",", *FAST])
     assert code != 0

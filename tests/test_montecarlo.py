@@ -56,6 +56,14 @@ def test_spec_validation():
         small_spec(ensemble=0)
 
 
+@pytest.mark.parametrize("axis, name", [("n_antennas", "antennas"), ("n_paths", "paths")])
+@pytest.mark.parametrize("bad", [16.5, float("inf"), float("nan")])
+def test_count_axes_reject_fractional_and_non_finite_values(axis, name, bad):
+    with pytest.raises(ValueError, match=f"{name} values must be whole numbers, got {bad:g}"):
+        small_spec(axis=axis, axis_values=(16.0, bad))
+    assert small_spec(axis=axis, axis_values=(16.0, 32.0)).axis_values == (16.0, 32.0)
+
+
 def test_figure_presets_match_captions():
     f1 = figure_preset(1)
     assert f1.n_antennas == 32
@@ -195,13 +203,28 @@ def test_joint_draws_uniform_secondary_paths_and_subsets():
     )
 
 
-def _check_streams_against_oracle():
-    cfg = ArrayConfig(16)
-    ch = sample_channel(8, THETA_R, np.random.default_rng(81))
-    m, l_s, K = 6, 4, 60
+# (N, L, m, l_s, angles): today's shape; every non-strongest path in the
+# pool; one antenna on the main beam; the full array on it (switched on the
+# whole array, joint with an empty secondary set); a single angle (T = 1)
+ORACLE_SHAPES = [
+    (16, 8, 6, 4, "mixed"),
+    (16, 8, 6, 8, "mixed"),
+    (16, 8, 1, 4, "mixed"),
+    (16, 8, 16, 4, "mixed"),
+    (64, 8, 32, 4, "pool"),
+]
+
+
+def _check_streams_against_oracle(n, L, m, l_s, angles):
+    cfg = ArrayConfig(n)
+    ch = sample_channel(L, THETA_R, np.random.default_rng(81))
+    K = 60
     pool = secondary_pool(ch, l_s)
     never = [i for i in range(ch.n_paths) if i != ch.strongest_index and i not in pool]
-    thetas = [THETA_R, ch.aods_deg[pool[0]], ch.aods_deg[never[0]], 55.0, 140.0]
+    if angles == "pool":
+        thetas = [ch.aods_deg[pool[0]]]
+    else:
+        thetas = [THETA_R, ch.aods_deg[pool[0]], *ch.aods_deg[never[:1]], 55.0, 140.0]
     for kind in ALL:
         streams = simulate_streams(ch, cfg, kind, m, l_s, thetas, K, np.random.default_rng(82))
         w, paths = sent_symbols(ch, cfg, kind, m, l_s, K, 82)
@@ -215,23 +238,68 @@ def _check_streams_against_oracle():
                 )
                 steered = ch.aods_deg[paths[k]]
                 assert streams.aligned[t, k] == any(cos_aligned(theta, a) for a in steered)
-        # each kind sees aligned and unaligned symbols among the chosen angles
-        assert streams.aligned.any() and not streams.aligned.all()
+        if len(thetas) > 1:  # each kind sees aligned and unaligned symbols among the angles
+            assert streams.aligned.any() and not streams.aligned.all()
 
 
 def test_streams_match_reference_simulator_per_symbol():
     """Every symbol of every kernel equals the oracle's gains for the
     weights the kernel sent, at the strongest path, a secondary candidate,
-    a never-steered path angle and two off-path angles."""
-    _check_streams_against_oracle()
+    a never-steered path angle and two off-path angles, on every shape of
+    ORACLE_SHAPES."""
+    for shape in ORACLE_SHAPES:
+        _check_streams_against_oracle(*shape)
 
 
 def test_streams_match_reference_simulator_across_chunks(monkeypatch):
-    # 7-symbol subset chunks at N = 16: the 60 symbols span eight full chunks
-    # and a partial one
+    # 7-symbol subset chunks at N = 16 (fewer at N = 64): the 60 symbols span
+    # eight full chunks and a partial one
     monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_ELEMENTS", 7 * 16)
     monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM", 1)
-    _check_streams_against_oracle()
+    for shape in ORACLE_SHAPES:
+        _check_streams_against_oracle(*shape)
+
+
+MEMO_SPECS = [
+    dict(axis="rho_e_db", axis_values=(0.0, 10.0, 20.0)),
+    dict(axis="theta_e_deg", axis_values=(40.0, 55.0, 140.0)),
+    dict(axis="n_antennas", axis_values=(16.0, 32.0), theta_e_deg=55.0),
+]
+
+
+@pytest.mark.parametrize("axis_spec", MEMO_SPECS, ids=lambda d: d["axis"])
+def test_operator_memo_is_transparent(monkeypatch, axis_spec):
+    spec = small_spec(symbols_per_point=200, ensemble=3, **axis_spec)
+    memoized = run_sweep(spec).to_csv()
+    monkeypatch.setattr(montecarlo, "_beams", montecarlo._beams.__wrapped__)
+    monkeypatch.setattr(montecarlo, "_operator", montecarlo._operator.__wrapped__)
+    assert run_sweep(spec).to_csv() == memoized
+
+
+def test_operator_memo_is_read_only_and_cleared_per_sweep():
+    cfg = ArrayConfig(16)
+    ch = sample_channel(8, THETA_R, np.random.default_rng(83))
+    for kind in ALL:
+        simulate_streams(ch, cfg, kind, 6, 4, [55.0], 100, np.random.default_rng(84))
+        cached = [
+            *montecarlo._beams(ch, cfg, kind, 6, 4),
+            *montecarlo._operator(ch, cfg, kind, 6, 4, (55.0,)),
+        ]
+        assert montecarlo._beams.cache_info().hits and montecarlo._operator.cache_info().hits
+        for a in cached:
+            if a is not None:
+                assert not a.flags.writeable
+    sizes = []
+
+    def evaluate(pt, ch, rng):
+        if not sizes:
+            sizes.append(
+                (montecarlo._beams.cache_info().currsize, montecarlo._operator.cache_info().currsize)
+            )
+        return 1.0, 0.5
+
+    montecarlo._sweep(small_spec(ensemble=2), evaluate)
+    assert sizes == [(0, 0)]
 
 
 def test_random_path_alignment_label_frequency():
