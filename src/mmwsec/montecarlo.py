@@ -3,10 +3,17 @@
 Each sweep point simulates a block of symbols per (strategy, channel
 realization) with vectorized kernels, estimates both observers' SNRs and
 averages the clamped secrecy rate over the channel ensemble.  Random
-streams derive from (base seed, role, strategy, axis index, ensemble
-index) so results are reproducible and schedule-independent; a channel
-depends only on (base seed, path count, ensemble index), so a sweep draws
-each one once and shares it across strategies and axis points.
+streams are keyed so results are reproducible and schedule-independent:
+
+- a channel by (base seed, role, path count, ensemble index), so a sweep
+  draws each one once and shares it across strategies and axis points;
+- a strategy's beam schedule (random-path's path index, joint's pool
+  index) by (base seed, role, strategy, axis index, ensemble index);
+- the antenna subsets of the switched and joint schemes by (base seed,
+  role, axis index, ensemble index), not by strategy: at one (axis point,
+  channel) both schemes send the same m-subset per symbol
+  (`SubsetBlock`), so their comparison uses common random numbers, and
+  no row depends on which other strategies a sweep requests.
 
 `simulate_streams` evaluates one observation law on factored weight rows
 (`_draw_weights`): a beam per symbol, plus, for the switched and joint
@@ -15,10 +22,11 @@ chunks of symbols (`SUBSET_CHUNK_ELEMENTS`, but at least
 `SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM` per masked beam) as a real-mask GEMM.
 The receiver is one more observer row per beam, so each GEMM yields every
 observer's gain.  The deterministic part of a block (beams, alignment
-table, GEMM operands: `_beams`, `_operator`) is memoized for the last
-(strategy, channel, angles) key; the sweep runs the axis points innermost,
-so the nine rho_E points of a figure share one build, and only the random
-draws are repeated per point.
+table, GEMM operands: `_beams`, `_operator`) is memoized per strategy for
+the last (channel, angles) key.  The sweep runs ensemble index, then axis
+point, then strategy, so the nine rho_E points of a figure share one build
+per strategy, at most one subset block is held at a time, and only the
+random draws are repeated per point.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -31,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +127,14 @@ class SweepSpec:
             bad = ", ".join(f"{v:g}" for v in self.axis_values if not float(v).is_integer())
             if bad:
                 raise ValueError(f"{name} values must be whole numbers, got {bad}")
+        # rows are keyed by (strategy, axis value), so a repeat would write a second estimate
+        repeated = [v for v, count in Counter(self.axis_values).items() if count > 1]
+        if repeated:
+            name = {
+                "theta_e_deg": "theta-e", "rho_e_db": "rho-e", "n_antennas": "antennas", "n_paths": "paths"
+            }[self.axis]
+            bad = ", ".join(f"{v:g}" for v in repeated)
+            raise ValueError(f"{name} values must be distinct, got {bad} more than once")
 
     def resolved_m(self, n_antennas: int) -> int:
         return self.m_main if self.m_main is not None else n_antennas // 2
@@ -235,13 +252,56 @@ def _random_subsets(rng, K, n, m) -> np.ndarray:
     return mask
 
 
+def _chunk_symbols(n, beams):
+    """Symbols per subset chunk at n antennas with `beams` masked beams."""
+    return max(1, SUBSET_CHUNK_ELEMENTS // n, SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM * beams)
+
+
 def _subset_chunks(rng, K, n, m, beams):
     """`_random_subsets(rng, K, n, m)` drawn chunk by chunk for symbols
     spread over `beams` masked beams: yields (first symbol, mask) pairs.
     The chunks' uniforms concatenate to one (K, n) draw."""
-    step = max(1, SUBSET_CHUNK_ELEMENTS // n, SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM * beams)
+    step = _chunk_symbols(n, beams)
     for start in range(0, K, step):
         yield start, _random_subsets(rng, min(step, K - start), n, m)
+
+
+class SubsetBlock:
+    """The antenna subsets of one (axis point, channel), drawn once and
+    read by every masked strategy there.
+
+    The first reader's `chunks` draws K uniformly random m-subsets of
+    range(n) from `make_rng()` chunk by chunk, exactly as `_subset_chunks`
+    would, and keeps them as one (K, n) mask; every reader gets read-only
+    views of it.  Since the chunks' uniforms concatenate to one (K, n)
+    draw, the block does not depend on which reader drew it, or with
+    what chunk size.
+    """
+
+    def __init__(self, make_rng):
+        self._make_rng = make_rng
+        self._rng = self._mask = self._m = None
+        self.drawn = 0  # symbols drawn so far
+
+    def chunks(self, K, n, m, beams):
+        """(first symbol, read-only mask) per chunk, as `_subset_chunks(rng,
+        K, n, m, beams)` yields them; every reader must ask for the same
+        K, n and m."""
+        if self._mask is None:
+            self._rng, self._mask, self._m = self._make_rng(), np.empty((K, n), dtype=bool), m
+        elif (K, n, m) != (*self._mask.shape, self._m):
+            raise ValueError(
+                f"subset block holds K, n, m = {(*self._mask.shape, self._m)}, asked for {(K, n, m)}"
+            )
+        step = _chunk_symbols(n, beams)
+        for start in range(0, K, step):
+            stop = min(start + step, K)
+            if stop > self.drawn:
+                self._mask[self.drawn : stop] = _random_subsets(self._rng, stop - self.drawn, n, m)
+                self.drawn = stop
+            mask = self._mask[start:stop]
+            mask.flags.writeable = False
+            yield start, mask
 
 
 @dataclass
@@ -268,13 +328,13 @@ def _read_only(*arrays):
     return arrays
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=len(StrategyKind))
 def _beams(ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int):
     """The deterministic half of a strategy's draw: (B, cand, steer).
 
     R unit-power beams B (R, n), the candidate path indices cand, and the
     candidates each beam's symbols steer, as indices into cand (R, S).
-    Memoized for the last (channel, strategy) key, as read-only arrays.
+    Memoized for the last key of each strategy, as read-only arrays.
     """
     n, L = cfg.n_antennas, ch.n_paths
     if kind is StrategyKind.CONVENTIONAL:  # one static beam at the strongest path
@@ -300,33 +360,46 @@ def _beams(ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main:
 
 
 def _draw_weights(
-    ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int, K: int, rng
+    ch: ChannelRealization,
+    cfg: ArrayConfig,
+    kind: StrategyKind,
+    m_main: int,
+    l_s: int,
+    K: int,
+    rng,
+    subsets: SubsetBlock | None = None,
 ):
     """Draw, in factored form, the weights K symbols of one strategy send.
 
     Returns (B, cand, steer, row, masks): the strategy's beams (`_beams`)
-    and the beam each symbol sends (K,).  Conventional and random-path send
-    B[row] itself (masks is None).  Switched and joint send
-    w_k = B[row_k] + mask_k (B[0] - B[row_k]): the antennas on symbol k's
-    m-subset carry the main beam B[0]; masks yields (first symbol, mask)
-    per chunk of symbols (`_subset_chunks`), drawn from rng as it is
-    iterated, after row.
+    and the beam each symbol sends (K,), drawn from rng.  Conventional and
+    random-path send B[row] itself (masks is None).  Switched and joint
+    send w_k = B[row_k] + mask_k (B[0] - B[row_k]): the antennas on symbol
+    k's m-subset carry the main beam B[0]; masks yields (first symbol,
+    mask) per chunk of symbols, read from `subsets` if given, else drawn
+    from rng after row as it is iterated (`_subset_chunks`).
     """
     B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
-    n, masks = cfg.n_antennas, None
+    n, masks, beams = cfg.n_antennas, None, 0
     if kind is StrategyKind.CONVENTIONAL:
         row = np.zeros(K, dtype=int)
     elif kind is StrategyKind.SWITCHED_ARRAY:
-        row, masks = np.ones(K, dtype=int), _subset_chunks(rng, K, n, m_main, 1)
+        row, beams = np.ones(K, dtype=int), 1
     elif kind is StrategyKind.RANDOM_PATH:
         row = rng.integers(ch.n_paths, size=K)
     else:
         row = 1 + rng.integers(cand.size - 1, size=K)  # every pool index before any subset
-        masks = _subset_chunks(rng, K, n, m_main, cand.size - 1)
+        beams = cand.size - 1
+    if beams:
+        masks = (
+            _subset_chunks(rng, K, n, m_main, beams)
+            if subsets is None
+            else subsets.chunks(K, n, m_main, beams)
+        )
     return B, cand, steer, row, masks
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=len(StrategyKind))
 def _operator(
     ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int, angles
 ):
@@ -340,8 +413,8 @@ def _operator(
     G (R, T + 1) with the receiver last; and, for the masked strategies,
     the mask GEMM operands D (R, n, 2(T + 1)), the real and imaginary parts
     of (observers * (B[0] - B[s]))^T interleaved so a product views as
-    complex (None otherwise).  Memoized for the last key, as read-only
-    arrays.
+    complex (None otherwise).  Memoized for the last key of each strategy,
+    as read-only arrays.
     """
     B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
     n, L, T = cfg.n_antennas, ch.n_paths, len(angles)
@@ -372,6 +445,7 @@ def simulate_streams(
     theta_e_list,
     K: int,
     rng: np.random.Generator,
+    subsets: SubsetBlock | None = None,
 ) -> SymbolStreams:
     """Simulate K symbols of one strategy against many observation angles.
 
@@ -385,16 +459,20 @@ def simulate_streams(
     a(theta_l)^H w over the steered paths only (leakage from unsteered
     paths is excluded), so each beam has its own receiver row.
 
+    rng draws row.  The m-subsets come from `subsets`, a block shared with
+    the other masked strategy at the same sweep point, when given; else
+    they are drawn from rng after row, one chunk at a time.
+
     Per beam the law is G (R, T + 1), each beam at each observer.  The
     masked strategies add, chunk by chunk of symbols, the real-mask GEMM
     mask_k D[s] over the symbols sending beam s, writing whole rows of one
-    (K, T + 1) block, so no (K, n) array is ever held.  The operator is
-    built once per (strategy, channel, angles) and reused while the key
-    repeats; only row and the masks are drawn per call.
+    (K, T + 1) block, so no complex (K, n) array is ever held.  The
+    operator is built once per (strategy, channel, angles) and reused while
+    the key repeats; only row and the masks are drawn per call.
     """
     thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
     T = thetas.size
-    _, _, _, row, masks = _draw_weights(ch, cfg, kind, m_main, l_s, K, rng)
+    _, _, _, row, masks = _draw_weights(ch, cfg, kind, m_main, l_s, K, rng, subsets)
     table, G, D = _operator(ch, cfg, kind, m_main, l_s, tuple(thetas.tolist()))
     if masks is None:
         out = G[row]
@@ -442,6 +520,11 @@ def _plan_rng(spec: SweepSpec, strat: StrategyKind, axis_idx: int, ens: int) -> 
     return np.random.default_rng(ss)
 
 
+def _subset_rng(spec: SweepSpec, axis_idx: int, ens: int) -> np.random.Generator:
+    # no strategy in the key: the switched and joint schemes share it
+    return np.random.default_rng(np.random.SeedSequence([spec.base_seed, 0x5B5E7, axis_idx, ens]))
+
+
 @dataclass(frozen=True)
 class _Point:
     """One applicable (strategy, axis value) point; rho_r and rho_e are linear."""
@@ -472,23 +555,24 @@ def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n
 def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     """The sweep loop shared by `run_sweep` and `compare_analytic`.
 
-    evaluate(point, ch, rng) returns one channel's linear (snr_r, snr_e);
-    rng is the plan stream of that (strategy, axis value, channel), which
-    only the Monte Carlo evaluation reads.  The loop runs strategy, then
-    ensemble index, then axis point, so consecutive Monte Carlo calls on
-    the rho_E axis share one channel and reuse its memoized beams and
-    observation operator (`_beams`, `_operator`); the memo is cleared here,
-    so nothing carries over from an earlier sweep.  Every random stream is
-    still keyed by its own (strategy, axis index, ensemble index).
+    evaluate(point, ch, rng, subsets) returns one channel's linear
+    (snr_r, snr_e); rng is the plan stream of that (strategy, axis value,
+    channel) and subsets the `SubsetBlock` of that (axis value, channel),
+    which only the Monte Carlo evaluation reads.  The loop runs ensemble
+    index, then axis point, then strategy: the strategies at one (point,
+    channel) share one subset block, drawn by the first masked strategy to
+    read it and dropped before the next point, and on the rho_E axis every
+    point reuses each strategy's memoized beams and observation operator
+    (`_beams`, `_operator`); the memo is cleared here, so nothing carries
+    over from an earlier sweep.  Rates accumulate per strategy.
     """
     for memo in _MEMOS:
         memo.cache_clear()
-    rows = []
     rho_r = db_to_linear(spec.rho_r_db)
-    channels = {}  # (L, ensemble index) -> channel: one draw serves every strategy and point
+    points = {}  # per strategy, per axis value: its point, or None if inapplicable
     for strat in spec.strategies:
-        points = []  # per axis value: its point, or None if inapplicable
-        for axis_idx, value in enumerate(spec.axis_values):
+        points[strat] = []
+        for value in spec.axis_values:
             p = {
                 "n_antennas": spec.n_antennas,
                 "n_paths": spec.n_paths,
@@ -509,22 +593,29 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
                     rho_r,
                     db_to_linear(p["rho_e_db"]),
                 )
-            points.append(pt)
-        rates, snr_r_acc, snr_e_acc = np.empty((3, len(points), spec.ensemble))
-        for ens in range(spec.ensemble):
-            for axis_idx, pt in enumerate(points):
+            points[strat].append(pt)
+    # per strategy: rate, snr_r and snr_e per (axis value, ensemble index)
+    acc = {strat: np.empty((3, len(spec.axis_values), spec.ensemble)) for strat in points}
+    for ens in range(spec.ensemble):
+        channels = {}  # path count -> channel: one draw serves every strategy and point
+        for axis_idx in range(len(spec.axis_values)):
+            subsets = SubsetBlock(functools.partial(_subset_rng, spec, axis_idx, ens))
+            for strat, pts in points.items():
+                pt = pts[axis_idx]
                 if pt is None:
                     continue
-                ch = channels.get((pt.n_paths, ens))
+                ch = channels.get(pt.n_paths)
                 if ch is None:
-                    ch = channels[pt.n_paths, ens] = sample_channel(
+                    ch = channels[pt.n_paths] = sample_channel(
                         pt.n_paths, spec.theta_r_deg, _channel_rng(spec, pt.n_paths, ens)
                     )
-                snr_r, snr_e = evaluate(pt, ch, _plan_rng(spec, strat, axis_idx, ens))
-                rates[axis_idx, ens] = secrecy_rate(SnrPair(snr_r, snr_e))
-                snr_r_acc[axis_idx, ens] = snr_r
-                snr_e_acc[axis_idx, ens] = snr_e
-        for i, (value, pt) in enumerate(zip(spec.axis_values, points)):
+                rng = _plan_rng(spec, strat, axis_idx, ens)
+                snr_r, snr_e = evaluate(pt, ch, rng, subsets)
+                acc[strat][:, axis_idx, ens] = secrecy_rate(SnrPair(snr_r, snr_e)), snr_r, snr_e
+    rows = []
+    for strat, pts in points.items():
+        rates, snr_r_acc, snr_e_acc = acc[strat]
+        for i, (value, pt) in enumerate(zip(spec.axis_values, pts)):
             if pt is None:
                 rows.append(
                     SweepRow(strat, spec.axis, float(value), None, None, None, None, "inapplicable")
@@ -560,7 +651,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     inapplicable.
     """
 
-    def evaluate(pt: _Point, ch: ChannelRealization, rng: np.random.Generator):
+    def evaluate(pt: _Point, ch: ChannelRealization, rng: np.random.Generator, subsets):
         # Under the pessimistic random-location model, an eavesdropper
         # sitting on a transmit angle of the joint scheme mixes mainlobe
         # interception (probability 2/L) with sidelobe observation at
@@ -572,7 +663,8 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
             if joint_mix:
                 theta_list += side
         streams = simulate_streams(
-            ch, pt.cfg, pt.strategy, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, rng
+            ch, pt.cfg, pt.strategy, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, rng,
+            subsets,
         )
         sigma_r = receiver_reference_gain(ch, pt.strategy) ** 2 / pt.rho_r
         snr_r = receiver_snr(streams.recv, sigma_r)
@@ -604,7 +696,7 @@ def compare_analytic(spec: SweepSpec) -> ResultTable:
         if strat not in ANALYTIC_STRATEGIES:
             raise ValueError(f"compare_analytic supports {ANALYTIC_STRATEGIES}, got {strat}")
 
-    def evaluate(pt: _Point, ch: ChannelRealization, _rng: np.random.Generator):
+    def evaluate(pt: _Point, ch: ChannelRealization, _rng: np.random.Generator, _subsets):
         n_ant = pt.cfg.n_antennas
         if pt.strategy is StrategyKind.RANDOM_PATH:
             snr_r = snr_r_random_path(n_ant, pt.n_paths, pt.rho_r)

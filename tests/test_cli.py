@@ -129,6 +129,18 @@ def test_count_axes_take_whole_numbers(tmp_path, capsys, axis, bad):
     assert not out.exists()
 
 
+def test_repeated_axis_values_are_rejected(tmp_path, capsys):
+    # two rows keyed (random-path, 10) used to hold different numbers
+    out = tmp_path / "x.csv"
+    code = run_cli(
+        ["sweep", "--axis", "rho-e", "--values", "10,10", "--strategies",
+         "conventional,random-path", "--symbols", "200", "--ensemble", "3", "-o", str(out)]
+    )
+    assert code == 2
+    assert "rho-e values must be distinct, got 10 more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_strategy_list(capsys):
     code = run_cli(["sweep", "--strategies", ",", *FAST])
     assert code != 0

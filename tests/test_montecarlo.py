@@ -1,5 +1,6 @@
 """Unit tests for the sweep harness and vectorized symbol kernels."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from mmwsec.array_geometry import ArrayConfig, array_response, cos_aligned
 from mmwsec.channel import sample_channel
 from mmwsec.montecarlo import (
     ResultTable,
+    SubsetBlock,
     SweepSpec,
     _draw_weights,
     _random_subsets,
@@ -62,6 +64,21 @@ def test_count_axes_reject_fractional_and_non_finite_values(axis, name, bad):
     with pytest.raises(ValueError, match=f"{name} values must be whole numbers, got {bad:g}"):
         small_spec(axis=axis, axis_values=(16.0, bad))
     assert small_spec(axis=axis, axis_values=(16.0, 32.0)).axis_values == (16.0, 32.0)
+
+
+@pytest.mark.parametrize(
+    "axis, name, values",
+    [
+        ("rho_e_db", "rho-e", (10.0, 10.0)),
+        ("theta_e_deg", "theta-e", (40.0, 55.0, 40.0)),
+        ("n_antennas", "antennas", (16.0, 32.0, 16.0)),
+        ("n_paths", "paths", (4.0, 4.0)),
+    ],
+)
+def test_axis_values_must_be_distinct(axis, name, values):
+    # rows are keyed by (strategy, axis value): a repeat would write two rows under one key
+    with pytest.raises(ValueError, match=f"{name} values must be distinct, got {values[0]:g}"):
+        small_spec(axis=axis, axis_values=values)
 
 
 def test_figure_presets_match_captions():
@@ -279,11 +296,13 @@ def test_operator_memo_is_transparent(monkeypatch, axis_spec):
 def test_operator_memo_is_read_only_and_cleared_per_sweep():
     cfg = ArrayConfig(16)
     ch = sample_channel(8, THETA_R, np.random.default_rng(83))
+    block = SubsetBlock(lambda: np.random.default_rng(85))
     for kind in ALL:
-        simulate_streams(ch, cfg, kind, 6, 4, [55.0], 100, np.random.default_rng(84))
+        simulate_streams(ch, cfg, kind, 6, 4, [55.0], 100, np.random.default_rng(84), block)
         cached = [
             *montecarlo._beams(ch, cfg, kind, 6, 4),
             *montecarlo._operator(ch, cfg, kind, 6, 4, (55.0,)),
+            *(mask for _, mask in block.chunks(100, 16, 6, 1)),
         ]
         assert montecarlo._beams.cache_info().hits and montecarlo._operator.cache_info().hits
         for a in cached:
@@ -291,15 +310,108 @@ def test_operator_memo_is_read_only_and_cleared_per_sweep():
                 assert not a.flags.writeable
     sizes = []
 
-    def evaluate(pt, ch, rng):
+    def evaluate(pt, ch, rng, subsets):
         if not sizes:
             sizes.append(
-                (montecarlo._beams.cache_info().currsize, montecarlo._operator.cache_info().currsize)
+                (
+                    montecarlo._beams.cache_info().currsize,
+                    montecarlo._operator.cache_info().currsize,
+                    subsets.drawn,
+                )
             )
         return 1.0, 0.5
 
     montecarlo._sweep(small_spec(ensemble=2), evaluate)
-    assert sizes == [(0, 0)]
+    assert sizes == [(0, 0, 0)]
+
+
+SHARING_SPECS = [
+    dict(axis="rho_e_db", axis_values=(0.0, 10.0, 20.0)),
+    dict(axis="n_antennas", axis_values=(16.0, 32.0), theta_e_deg=55.0),
+]
+
+
+def _csv_rows(spec):
+    return run_sweep(spec).to_csv().splitlines()[1:]
+
+
+@pytest.mark.parametrize("axis_spec", SHARING_SPECS, ids=lambda d: d["axis"])
+def test_rows_do_not_depend_on_the_other_strategies_requested(axis_spec):
+    # switched and joint share subsets, so neither may depend on the other being run
+    tiny = dict(symbols_per_point=200, ensemble=2, **axis_spec)
+    full = _csv_rows(small_spec(**tiny))
+    assert _csv_rows(small_spec(strategies=ALL[::-1], **tiny)) == full
+    for kind in ALL:
+        alone = _csv_rows(small_spec(strategies=(kind,), **tiny))
+        assert alone == [line for line in full if line.startswith(kind.value + ",")]
+
+
+def test_switched_and_joint_read_one_subset_block_per_point_and_channel(monkeypatch):
+    K, n, points, ensemble = 300, 32, 2, 2
+    drawn = []
+    spied = montecarlo._random_subsets
+
+    def spy(rng, K, n, m):
+        drawn.append(K * n)
+        return spied(rng, K, n, m)
+
+    reads = {}  # block -> every reader's concatenated masks
+    read = SubsetBlock.chunks
+
+    def record(block, *args):
+        chunks = list(read(block, *args))
+        reads.setdefault(block, []).append(np.concatenate([mask for _, mask in chunks]))
+        yield from chunks
+
+    monkeypatch.setattr(montecarlo, "_random_subsets", spy)
+    monkeypatch.setattr(SubsetBlock, "chunks", record)
+    spec = small_spec(
+        strategies=(StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA),
+        axis="rho_e_db", axis_values=(0.0, 10.0), symbols_per_point=K, ensemble=ensemble,
+    )
+    run_sweep(spec)
+    assert sum(drawn) == points * ensemble * K * n  # K * N elements per (point, channel)
+    blocks = list(reads.values())
+    assert len(blocks) == points * ensemble
+    for switched, joint in blocks:  # both strategies read the same rows
+        assert switched.shape == (K, n) and np.array_equal(switched, joint)
+    for a, b in itertools.combinations([masks[0] for masks in blocks], 2):
+        assert not np.array_equal(a, b)  # each (point, channel) gets its own block
+
+
+def test_subset_block_is_one_draw_whatever_its_first_reader(monkeypatch):
+    # chunks of 3 symbols for one masked beam, 12 for four: the block is still one (K, n) draw
+    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_ELEMENTS", 3 * 16)
+    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM", 3)
+    whole = _random_subsets(np.random.default_rng(86), 50, 16, 6)
+    for first, later in ((1, 4), (4, 1)):
+        block = SubsetBlock(lambda: np.random.default_rng(86))
+        for beams in (first, later):
+            chunks = list(block.chunks(50, 16, 6, beams))
+            assert [start for start, _ in chunks] == list(range(0, 50, 3 * beams))
+            assert np.array_equal(np.concatenate([mask for _, mask in chunks]), whole)
+    with pytest.raises(ValueError, match="subset block holds"):
+        next(block.chunks(50, 16, 5, 1))
+
+
+def test_sweep_hands_over_uniform_subsets():
+    # each antenna sits on the main beam m/N of the time in the block the sweep hands over
+    seen = []
+
+    def evaluate(pt, ch, rng, subsets):
+        if not seen:
+            K, n = 10_000, pt.cfg.n_antennas
+            seen.append(np.concatenate([mask for _, mask in subsets.chunks(K, n, pt.m_main, 1)]))
+        return 1.0, 0.5
+
+    spec = small_spec(
+        strategies=(StrategyKind.SWITCHED_ARRAY,), axis="rho_e_db", axis_values=(10.0,),
+        symbols_per_point=10_000, ensemble=1,
+    )
+    montecarlo._sweep(spec, evaluate)
+    (block,) = seen
+    assert np.all(block.sum(axis=1) == 16)
+    assert np.allclose(block.mean(axis=0), 16 / 32, atol=0.03)
 
 
 def test_random_path_alignment_label_frequency():
