@@ -89,6 +89,8 @@ def parse_strategies(text: str) -> tuple[StrategyKind, ...]:
             raise CliError(
                 f"unknown strategy {name!r}; choose from {sorted(STRATEGY_NAMES)}"
             )
+        if STRATEGY_NAMES[name] in out:  # one set of rows per strategy, so a repeat would vanish
+            raise CliError(f"strategies must be distinct, got {name} more than once")
         out.append(STRATEGY_NAMES[name])
     return tuple(out)
 

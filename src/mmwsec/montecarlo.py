@@ -10,10 +10,11 @@ streams are keyed so results are reproducible and schedule-independent:
 - a strategy's beam schedule (random-path's path index, joint's pool
   index) by (base seed, role, strategy, axis index, ensemble index);
 - the antenna subsets of the switched and joint schemes by (base seed,
-  role, axis index, ensemble index), not by strategy: at one (axis point,
-  channel) both schemes send the same m-subset per symbol
-  (`SubsetBlock`), so their comparison uses common random numbers, and
-  no row depends on which other strategies a sweep requests.
+  role, j, ensemble index), where j is the first axis index with the
+  point's array size N, not by strategy or axis point: at one ensemble
+  index every point of one N sends the same m-subset per symbol
+  (`SubsetBlock`), so schemes and points compare on common random
+  numbers, and no row depends on which other strategies a sweep requests.
 
 `simulate_streams` evaluates one observation law on factored weight rows
 (`_draw_weights`): a beam per symbol, plus, for the switched and joint
@@ -25,8 +26,8 @@ observer's gain.  The deterministic part of a block (beams, alignment
 table, GEMM operands: `_beams`, `_operator`) is memoized per strategy for
 the last (channel, angles) key.  The sweep runs ensemble index, then axis
 point, then strategy, so the nine rho_E points of a figure share one build
-per strategy, at most one subset block is held at a time, and only the
-random draws are repeated per point.
+per strategy and one subset block per ensemble index, and only the beam
+schedule draws are repeated per point.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -106,6 +107,8 @@ class SweepSpec:
             raise ValueError("symbols_per_point must be >= 100")
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
+        if self.base_seed < 0:  # numpy's SeedSequence would reject it without naming it
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
         # every angle the sweep evaluates; only cos(theta) enters the model,
         # so an angle outside [1, 180] would silently alias another one
         theta_e = self.axis_values if self.axis == "theta_e_deg" else (self.theta_e_deg,)
@@ -267,8 +270,8 @@ def _subset_chunks(rng, K, n, m, beams):
 
 
 class SubsetBlock:
-    """The antenna subsets of one (axis point, channel), drawn once and
-    read by every masked strategy there.
+    """The antenna subsets of one (array size, ensemble index), drawn once
+    and read by every masked strategy at every axis point of that size.
 
     The first reader's `chunks` draws K uniformly random m-subsets of
     range(n) from `make_rng()` chunk by chunk, exactly as `_subset_chunks`
@@ -557,14 +560,17 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
 
     evaluate(point, ch, rng, subsets) returns one channel's linear
     (snr_r, snr_e); rng is the plan stream of that (strategy, axis value,
-    channel) and subsets the `SubsetBlock` of that (axis value, channel),
-    which only the Monte Carlo evaluation reads.  The loop runs ensemble
-    index, then axis point, then strategy: the strategies at one (point,
-    channel) share one subset block, drawn by the first masked strategy to
-    read it and dropped before the next point, and on the rho_E axis every
-    point reuses each strategy's memoized beams and observation operator
-    (`_beams`, `_operator`); the memo is cleared here, so nothing carries
-    over from an earlier sweep.  Rates accumulate per strategy.
+    channel) and subsets the `SubsetBlock` of that (array size, ensemble
+    index), which only the Monte Carlo evaluation reads.  The loop runs
+    ensemble index, then axis point, then strategy: every strategy and
+    axis point with one array size N shares one subset block per ensemble
+    index, keyed by the first axis index with that N (so only the antennas
+    axis has more than one), drawn by the first masked strategy to read it
+    and dropped at the next array size or ensemble index, so one block is
+    alive at a time; on the rho_E axis every point also reuses each
+    strategy's memoized beams and observation operator (`_beams`,
+    `_operator`); the memo is cleared here, so nothing carries over from
+    an earlier sweep.  Rates accumulate per strategy.
     """
     for memo in _MEMOS:
         memo.cache_clear()
@@ -594,12 +600,16 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
                     db_to_linear(p["rho_e_db"]),
                 )
             points[strat].append(pt)
+    # array size per axis value, from the spec alone, so no key depends on applicability;
+    # the sizes are all equal, or all distinct on the antennas axis
+    sizes = [int(v) if spec.axis == "n_antennas" else spec.n_antennas for v in spec.axis_values]
     # per strategy: rate, snr_r and snr_e per (axis value, ensemble index)
     acc = {strat: np.empty((3, len(spec.axis_values), spec.ensemble)) for strat in points}
     for ens in range(spec.ensemble):
         channels = {}  # path count -> channel: one draw serves every strategy and point
-        for axis_idx in range(len(spec.axis_values)):
-            subsets = SubsetBlock(functools.partial(_subset_rng, spec, axis_idx, ens))
+        for axis_idx, n in enumerate(sizes):
+            if sizes.index(n) == axis_idx:  # the first point of this size keys a new block
+                subsets = SubsetBlock(functools.partial(_subset_rng, spec, axis_idx, ens))
             for strat, pts in points.items():
                 pt = pts[axis_idx]
                 if pt is None:

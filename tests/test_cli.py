@@ -141,6 +141,33 @@ def test_repeated_axis_values_are_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_strategies_are_rejected(tmp_path, capsys):
+    # a strategy gets one set of rows, so a repeat used to vanish from the CSV but stay in .meta
+    out = tmp_path / "x.csv"
+    code = run_cli(
+        ["sweep", "--axis", "rho-e", "--values", "10", "--strategies", "joint,conventional,joint",
+         "--symbols", "200", "--ensemble", "2", "-o", str(out)]
+    )
+    assert code == 2
+    assert "strategies must be distinct, got joint more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_rejected_by_name(tmp_path, capsys, source):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    seed = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "x.csv"
+    code = run_cli(
+        ["sweep", "--axis", "rho-e", "--values", "10", "--strategies", "conventional",
+         "--symbols", "200", "--ensemble", "2", *seed, "-o", str(out)]
+    )
+    assert code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_strategy_list(capsys):
     code = run_cli(["sweep", "--strategies", ",", *FAST])
     assert code != 0
@@ -278,6 +305,11 @@ GOLDEN_COMMANDS = {
     "paths": [
         "sweep", "--axis", "paths", "--values", "1,2,12", "--strategies", "all",
         "--analytic", "--symbols", "200", "--ensemble", "2", "--seed", "5",
+    ],
+    # one subset stream per array size: these bytes predate sharing subsets across axis points
+    "antennas": [
+        "sweep", "--axis", "antennas", "--values", "16,32", "--strategies", "all",
+        "--theta-e", "55", "--symbols", "200", "--ensemble", "2", "--seed", "5",
     ],
     # on the strongest path, beside it, off path (55) and in a far sidelobe (140)
     "theta": [

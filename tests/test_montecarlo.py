@@ -56,6 +56,8 @@ def test_spec_validation():
         small_spec(symbols_per_point=99)
     with pytest.raises(ValueError):
         small_spec(ensemble=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        small_spec(base_seed=-1)
 
 
 @pytest.mark.parametrize("axis, name", [("n_antennas", "antennas"), ("n_paths", "paths")])
@@ -328,6 +330,8 @@ def test_operator_memo_is_read_only_and_cleared_per_sweep():
 SHARING_SPECS = [
     dict(axis="rho_e_db", axis_values=(0.0, 10.0, 20.0)),
     dict(axis="n_antennas", axis_values=(16.0, 32.0), theta_e_deg=55.0),
+    # joint is inapplicable at L = 1, so its block key must not come from its own points
+    dict(axis="n_paths", axis_values=(1.0, 2.0, 12.0)),
 ]
 
 
@@ -346,8 +350,18 @@ def test_rows_do_not_depend_on_the_other_strategies_requested(axis_spec):
         assert alone == [line for line in full if line.startswith(kind.value + ",")]
 
 
-def test_switched_and_joint_read_one_subset_block_per_point_and_channel(monkeypatch):
-    K, n, points, ensemble = 300, 32, 2, 2
+@pytest.mark.parametrize(
+    "axis_spec",
+    [
+        dict(axis="rho_e_db", axis_values=(0.0, 10.0, 20.0)),
+        dict(axis="n_antennas", axis_values=(16.0, 32.0), theta_e_deg=55.0),
+    ],
+    ids=lambda d: d["axis"],
+)
+def test_switched_and_joint_read_one_subset_block_per_array_size_and_channel(
+    monkeypatch, axis_spec
+):
+    K, ensemble = 300, 2
     drawn = []
     spied = montecarlo._random_subsets
 
@@ -367,16 +381,29 @@ def test_switched_and_joint_read_one_subset_block_per_point_and_channel(monkeypa
     monkeypatch.setattr(SubsetBlock, "chunks", record)
     spec = small_spec(
         strategies=(StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA),
-        axis="rho_e_db", axis_values=(0.0, 10.0), symbols_per_point=K, ensemble=ensemble,
+        symbols_per_point=K, ensemble=ensemble, **axis_spec,
     )
+    sizes = [int(v) for v in spec.axis_values] if spec.axis == "n_antennas" else [32]
     run_sweep(spec)
-    assert sum(drawn) == points * ensemble * K * n  # K * N elements per (point, channel)
+    assert sum(drawn) == ensemble * K * sum(sizes)  # K * N elements per (N, channel)
     blocks = list(reads.values())
-    assert len(blocks) == points * ensemble
-    for switched, joint in blocks:  # both strategies read the same rows
-        assert switched.shape == (K, n) and np.array_equal(switched, joint)
+    assert len(blocks) == ensemble * len(sizes)
+    points = len(spec.axis_values) // len(sizes)
+    for masks in blocks:  # switched and joint at every point of one N read the same rows
+        assert len(masks) == 2 * points
+        assert all(np.array_equal(masks[0], m) for m in masks)
+    # each block is one whole draw keyed by the first axis index of its N, so
+    # the antennas axis keeps one stream per axis index
+    keyed = [
+        spied(montecarlo._subset_rng(spec, j, ens), K, n, spec.resolved_m(n))
+        for ens in range(ensemble)
+        for j, n in enumerate(sizes)
+    ]
+    for masks, want in zip(blocks, keyed, strict=True):
+        assert np.array_equal(masks[0], want)
     for a, b in itertools.combinations([masks[0] for masks in blocks], 2):
-        assert not np.array_equal(a, b)  # each (point, channel) gets its own block
+        # each (N, channel) gets its own block: across ensemble indices, and across N
+        assert a.shape != b.shape or not np.array_equal(a, b)
 
 
 def test_subset_block_is_one_draw_whatever_its_first_reader(monkeypatch):
