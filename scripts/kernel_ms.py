@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Milliseconds per switched and joint `simulate_streams` block, N = 16 to 1024.
+"""Milliseconds and minor page faults per switched and joint `simulate_streams` block.
 
 Times one block of K = 10,000 symbols at L = 12 paths, m = N/2 antennas
 on the main beam, observed at 40 and 55 degrees: switched once per N,
 joint at l_s = 5 and 12.  Every call draws a fresh channel, so no call
 reuses an operator built by the one before.  Prints one JSON object with
-the median over REPS calls per configuration (fewer at N = 1024).
+the median milliseconds and the median minor page faults (`ru_minflt` of
+this process) over REPS calls per configuration (fewer at N = 1024).
 
     python3 scripts/kernel_ms.py                      # this checkout's src/
     python3 scripts/kernel_ms.py --src OTHER/src      # another checkout
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import resource
 import statistics
 import sys
 import time
@@ -42,19 +44,26 @@ def main(argv=None) -> int:
     seeds = itertools.count()
     configs = [("switched", StrategyKind.SWITCHED_ARRAY, n, POOLS[0]) for n in ANTENNAS]
     configs += [("joint", StrategyKind.JOINT_PATH_ANTENNA, n, ls) for n in ANTENNAS for ls in POOLS]
-    table = {}
+    table, faults = {}, {}
     for name, kind, n, l_s in configs:
-        cfg, ms = ArrayConfig(n), []
+        cfg, ms, minflt = ArrayConfig(n), [], []
         for _ in range(1 + (REPS_LARGE if n >= 1024 else REPS)):  # the first call warms up
             seed = next(seeds)
             ch = sample_channel(L, THETA_R, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             simulate_streams(ch, cfg, kind, n // 2, l_s, ANGLES, K, rng)
             ms.append((time.perf_counter() - t0) * 1e3)
+            minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
         label = f"{name} N={n}" + (f" l_s={l_s}" if name == "joint" else "")
         table[label] = round(statistics.median(ms[1:]), 2)
-    print(json.dumps({"src": args.src, "K": K, "L": L, "median_ms": table}))
+        faults[label] = statistics.median(minflt[1:])
+    print(
+        json.dumps(
+            {"src": args.src, "K": K, "L": L, "median_ms": table, "median_minor_faults": faults}
+        )
+    )
     return 0
 
 

@@ -155,18 +155,6 @@ def _coherent_snr(g: np.ndarray, noise_power_linear: float) -> float:
     return float(np.abs(mean) ** 2 / (var + noise_power_linear))
 
 
-def mc_snr_estimator(samples, noise_power_linear: float) -> float:
-    """Empirical SNR: |sample mean|^2 / (sample variance + noise power).
-
-    The variance term is the artificial-noise power seen by an observer
-    without the transmit schedule.
-    """
-    g = np.asarray(samples, dtype=complex)
-    if g.size < 2:
-        raise ValueError("at least 2 samples required")
-    return _coherent_snr(g, noise_power_linear)
-
-
 def receiver_snr(samples, noise_power_linear: float) -> float:
     """Receiver SNR with schedule-known fluctuation removed:
     (mean |gain|)^2 / noise."""

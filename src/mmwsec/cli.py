@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .montecarlo import (
     ANALYTIC_STRATEGIES,
+    AXIS_NAMES,
     DEFAULT_AXIS_VALUES,
     SweepSpec,
     compare_analytic,
@@ -25,13 +26,6 @@ from .montecarlo import (
 from .strategies import StrategyKind
 
 STRATEGY_NAMES = {kind.value: kind for kind in StrategyKind}
-
-AXIS_NAMES = {
-    "theta-e": "theta_e_deg",
-    "rho-e": "rho_e_db",
-    "antennas": "n_antennas",
-    "paths": "n_paths",
-}
 
 
 class CliError(Exception):
@@ -68,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="run a custom parameter sweep")
     sw.add_argument(
         "--axis",
-        choices=sorted(AXIS_NAMES),
+        choices=sorted(AXIS_NAMES.values()),
         default="rho-e",
         help="sweep axis (default rho-e)",
     )
@@ -83,6 +77,11 @@ def parse_strategies(text: str) -> tuple[StrategyKind, ...]:
         raise CliError("strategy list must be nonempty")
     if names == ["all"]:
         return tuple(STRATEGY_NAMES.values())
+    if "all" in names:
+        raise CliError(
+            "'all' stands alone: give it by itself, or list strategies from "
+            f"{sorted(STRATEGY_NAMES)}"
+        )
     out = []
     for name in names:
         if name not in STRATEGY_NAMES:
@@ -138,10 +137,19 @@ _FIELDS = (
 
 
 def _apply(spec: SweepSpec, values: dict, source: str) -> SweepSpec:
-    """Set every table field whose key has a value in `values`."""
+    """Set every table field whose key has a value in `values`; a field the
+    run sweeps (its axis, or a preset's curves) would be overridden, so it is
+    an error."""
     updates = {}
     for key, field, conv, _ in _FIELDS:
         if values.get(key) is not None:
+            if field in (spec.axis, spec.curve_param):
+                swept = (
+                    f"along its {AXIS_NAMES[field]} axis"
+                    if field == spec.axis
+                    else "over its curves " + ",".join(f"{v:g}" for v in spec.curve_values)
+                )
+                raise CliError(f"{source} {key} sets {field}, which this run sweeps {swept}")
             try:
                 updates[field] = conv(values[key])
             except ValueError as e:
@@ -253,7 +261,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "figure":
         spec = figure_preset(args.fig_id)
     else:
-        axis = AXIS_NAMES[args.axis]
+        axis = {name: field for field, name in AXIS_NAMES.items()}[args.axis]
         if args.values is not None:
             try:
                 values = tuple(float(v) for v in args.values.split(",") if v.strip())

@@ -18,13 +18,15 @@ streams are keyed so results are reproducible and schedule-independent:
 
 `simulate_streams` evaluates one observation law on factored weight rows
 (`_draw_weights`): a beam per symbol, plus, for the switched and joint
-schemes, a per-symbol antenna subset drawn and applied in cache-sized
-chunks of symbols (`SUBSET_CHUNK_ELEMENTS`, but at least
+schemes, a per-symbol antenna subset.  The subsets of a block are drawn
+whole (`SubsetBlock.mask`, at most `SUBSET_CHUNK_ELEMENTS` uniforms per
+draw call) and applied in cache-sized chunks of symbols
+(`_chunk_symbols`: `SUBSET_CHUNK_ELEMENTS // n`, but at least
 `SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM` per masked beam) as a real-mask GEMM.
 The receiver is one more observer row per beam, so each GEMM yields every
 observer's gain.  The deterministic part of a block (beams, alignment
-table, GEMM operands: `_beams`, `_operator`) is memoized per strategy for
-the last (channel, angles) key.  The sweep runs ensemble index, then axis
+table, GEMM operands) is memoized per strategy for the last (channel,
+angles) key (`_operator`).  The sweep runs ensemble index, then axis
 point, then strategy, so the nine rho_E points of a figure share one build
 per strategy and one subset block per ensemble index, and only the beam
 schedule draws are repeated per point.
@@ -70,7 +72,10 @@ DEFAULT_AXIS_VALUES = {
     "n_antennas": (16.0, 32.0, 64.0),
     "n_paths": (4.0, 8.0, 12.0),
 }
-AXES = tuple(DEFAULT_AXIS_VALUES)
+# each sweep axis's SweepSpec field -> its name on the command line and in messages
+AXIS_NAMES = {
+    "theta_e_deg": "theta-e", "rho_e_db": "rho-e", "n_antennas": "antennas", "n_paths": "paths"
+}
 
 # the strategies with closed forms (`compare_analytic`)
 ANALYTIC_STRATEGIES = (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
@@ -99,8 +104,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.strategies:
             raise ValueError("strategy set must be nonempty")
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+        if self.axis not in AXIS_NAMES:
+            raise ValueError(f"axis must be one of {tuple(AXIS_NAMES)}, got {self.axis!r}")
         if not self.axis_values:
             raise ValueError("axis values must be nonempty")
         if self.symbols_per_point < 100:
@@ -126,18 +131,16 @@ class SweepSpec:
                 raise ValueError(f"{name} must be finite, got {bad}")
         # the sweep builds an array or channel of int(value) antennas or paths
         if self.axis in ("n_antennas", "n_paths"):
-            name = "antennas" if self.axis == "n_antennas" else "paths"
             bad = ", ".join(f"{v:g}" for v in self.axis_values if not float(v).is_integer())
             if bad:
-                raise ValueError(f"{name} values must be whole numbers, got {bad}")
+                raise ValueError(f"{AXIS_NAMES[self.axis]} values must be whole numbers, got {bad}")
         # rows are keyed by (strategy, axis value), so a repeat would write a second estimate
         repeated = [v for v, count in Counter(self.axis_values).items() if count > 1]
         if repeated:
-            name = {
-                "theta_e_deg": "theta-e", "rho_e_db": "rho-e", "n_antennas": "antennas", "n_paths": "paths"
-            }[self.axis]
             bad = ", ".join(f"{v:g}" for v in repeated)
-            raise ValueError(f"{name} values must be distinct, got {bad} more than once")
+            raise ValueError(
+                f"{AXIS_NAMES[self.axis]} values must be distinct, got {bad} more than once"
+            )
 
     def resolved_m(self, n_antennas: int) -> int:
         return self.m_main if self.m_main is not None else n_antennas // 2
@@ -230,11 +233,12 @@ def figure_preset(fig_id: int) -> SweepSpec:
 # vectorized symbol-block kernels
 
 
-# Uniforms per subset chunk: the switched and joint kernels walk their
-# symbols SUBSET_CHUNK_ELEMENTS // n at a time, so each chunk's uniforms,
-# mask and gains stay a few hundred KB at moderate array sizes.  A chunk
-# also holds at least SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM symbols per masked
-# beam, so at large n the per-beam GEMMs do not shrink to a few rows each.
+# Uniforms per subset draw call: `SubsetBlock` draws its mask
+# SUBSET_CHUNK_ELEMENTS // n symbols at a time, so each call's uniforms and
+# partition copy stay 128 KB at any array size.  The switched and joint
+# kernels walk their symbols in chunks of the same element budget, but of
+# at least SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM symbols per masked beam, so at
+# large n the per-beam GEMMs do not shrink to a few rows each.
 SUBSET_CHUNK_ELEMENTS = 1 << 14
 SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM = 32
 
@@ -256,55 +260,37 @@ def _random_subsets(rng, K, n, m) -> np.ndarray:
 
 
 def _chunk_symbols(n, beams):
-    """Symbols per subset chunk at n antennas with `beams` masked beams."""
+    """Symbols per kernel chunk at n antennas with `beams` masked beams."""
     return max(1, SUBSET_CHUNK_ELEMENTS // n, SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM * beams)
-
-
-def _subset_chunks(rng, K, n, m, beams):
-    """`_random_subsets(rng, K, n, m)` drawn chunk by chunk for symbols
-    spread over `beams` masked beams: yields (first symbol, mask) pairs.
-    The chunks' uniforms concatenate to one (K, n) draw."""
-    step = _chunk_symbols(n, beams)
-    for start in range(0, K, step):
-        yield start, _random_subsets(rng, min(step, K - start), n, m)
 
 
 class SubsetBlock:
     """The antenna subsets of one (array size, ensemble index), drawn once
     and read by every masked strategy at every axis point of that size.
 
-    The first reader's `chunks` draws K uniformly random m-subsets of
-    range(n) from `make_rng()` chunk by chunk, exactly as `_subset_chunks`
-    would, and keeps them as one (K, n) mask; every reader gets read-only
-    views of it.  Since the chunks' uniforms concatenate to one (K, n)
-    draw, the block does not depend on which reader drew it, or with
-    what chunk size.
+    The first `mask` call draws K uniformly random m-subsets of range(n)
+    from rng as one read-only (K, n) mask, at most SUBSET_CHUNK_ELEMENTS
+    uniforms per `_random_subsets` call; every later call returns the same
+    array.  The pieces' uniforms concatenate to one (K, n) draw, so the
+    mask does not depend on the piece size.
     """
 
-    def __init__(self, make_rng):
-        self._make_rng = make_rng
-        self._rng = self._mask = self._m = None
-        self.drawn = 0  # symbols drawn so far
+    def __init__(self, rng):
+        self._rng, self._mask, self._m = rng, None, None
 
-    def chunks(self, K, n, m, beams):
-        """(first symbol, read-only mask) per chunk, as `_subset_chunks(rng,
-        K, n, m, beams)` yields them; every reader must ask for the same
-        K, n and m."""
+    def mask(self, K, n, m):
+        """The block's (K, n) mask; every reader must ask for the same K, n and m."""
         if self._mask is None:
-            self._rng, self._mask, self._m = self._make_rng(), np.empty((K, n), dtype=bool), m
+            mask, step = np.empty((K, n), dtype=bool), max(1, SUBSET_CHUNK_ELEMENTS // n)
+            for start in range(0, K, step):
+                mask[start : start + step] = _random_subsets(self._rng, min(step, K - start), n, m)
+            mask.flags.writeable = False
+            self._mask, self._m = mask, m
         elif (K, n, m) != (*self._mask.shape, self._m):
             raise ValueError(
                 f"subset block holds K, n, m = {(*self._mask.shape, self._m)}, asked for {(K, n, m)}"
             )
-        step = _chunk_symbols(n, beams)
-        for start in range(0, K, step):
-            stop = min(start + step, K)
-            if stop > self.drawn:
-                self._mask[self.drawn : stop] = _random_subsets(self._rng, stop - self.drawn, n, m)
-                self.drawn = stop
-            mask = self._mask[start:stop]
-            mask.flags.writeable = False
-            yield start, mask
+        return self._mask
 
 
 @dataclass
@@ -331,13 +317,12 @@ def _read_only(*arrays):
     return arrays
 
 
-@functools.lru_cache(maxsize=len(StrategyKind))
 def _beams(ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int):
     """The deterministic half of a strategy's draw: (B, cand, steer).
 
     R unit-power beams B (R, n), the candidate path indices cand, and the
-    candidates each beam's symbols steer, as indices into cand (R, S).
-    Memoized for the last key of each strategy, as read-only arrays.
+    candidates each beam's symbols steer, as indices into cand (R, S),
+    as read-only arrays.
     """
     n, L = cfg.n_antennas, ch.n_paths
     if kind is StrategyKind.CONVENTIONAL:  # one static beam at the strongest path
@@ -363,43 +348,26 @@ def _beams(ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main:
 
 
 def _draw_weights(
-    ch: ChannelRealization,
-    cfg: ArrayConfig,
-    kind: StrategyKind,
-    m_main: int,
-    l_s: int,
-    K: int,
-    rng,
-    subsets: SubsetBlock | None = None,
+    kind: StrategyKind, R: int, n: int, m_main: int, K: int, rng, subsets: SubsetBlock | None = None
 ):
     """Draw, in factored form, the weights K symbols of one strategy send.
 
-    Returns (B, cand, steer, row, masks): the strategy's beams (`_beams`)
-    and the beam each symbol sends (K,), drawn from rng.  Conventional and
-    random-path send B[row] itself (masks is None).  Switched and joint
-    send w_k = B[row_k] + mask_k (B[0] - B[row_k]): the antennas on symbol
-    k's m-subset carry the main beam B[0]; masks yields (first symbol,
-    mask) per chunk of symbols, read from `subsets` if given, else drawn
-    from rng after row as it is iterated (`_subset_chunks`).
+    Returns (row, mask): the beam each symbol sends (K,), an index into the
+    strategy's R beams B (`_beams`), drawn from rng.  Conventional and
+    random-path send B[row] itself (mask is None).  Switched and joint send
+    w_k = B[row_k] + mask_k (B[0] - B[row_k]): the antennas on symbol k's
+    m-subset carry the main beam B[0]; mask (K, n) is read from `subsets`
+    if given, else drawn from rng after row (`SubsetBlock(rng)`).
     """
-    B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
-    n, masks, beams = cfg.n_antennas, None, 0
     if kind is StrategyKind.CONVENTIONAL:
-        row = np.zeros(K, dtype=int)
-    elif kind is StrategyKind.SWITCHED_ARRAY:
-        row, beams = np.ones(K, dtype=int), 1
-    elif kind is StrategyKind.RANDOM_PATH:
-        row = rng.integers(ch.n_paths, size=K)
+        return np.zeros(K, dtype=int), None
+    if kind is StrategyKind.RANDOM_PATH:
+        return rng.integers(R, size=K), None
+    if kind is StrategyKind.SWITCHED_ARRAY:
+        row = np.ones(K, dtype=int)
     else:
-        row = 1 + rng.integers(cand.size - 1, size=K)  # every pool index before any subset
-        beams = cand.size - 1
-    if beams:
-        masks = (
-            _subset_chunks(rng, K, n, m_main, beams)
-            if subsets is None
-            else subsets.chunks(K, n, m_main, beams)
-        )
-    return B, cand, steer, row, masks
+        row = 1 + rng.integers(R - 1, size=K)  # every pool index before any subset
+    return row, (SubsetBlock(rng) if subsets is None else subsets).mask(K, n, m_main)
 
 
 @functools.lru_cache(maxsize=len(StrategyKind))
@@ -417,7 +385,7 @@ def _operator(
     the mask GEMM operands D (R, n, 2(T + 1)), the real and imaginary parts
     of (observers * (B[0] - B[s]))^T interleaved so a product views as
     complex (None otherwise).  Memoized for the last key of each strategy,
-    as read-only arrays.
+    as read-only arrays: the sweep's only memo.
     """
     B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
     n, L, T = cfg.n_antennas, ch.n_paths, len(angles)
@@ -434,9 +402,6 @@ def _operator(
         D = obs * (B[0] - B)[:, None, :]  # (R, T + 1, n)
         D = np.stack([D.real, D.imag], axis=3).transpose(0, 2, 1, 3).reshape(len(B), n, -1)
     return _read_only(table, G, D)
-
-
-_MEMOS = (_beams, _operator)
 
 
 def simulate_streams(
@@ -463,29 +428,31 @@ def simulate_streams(
     paths is excluded), so each beam has its own receiver row.
 
     rng draws row.  The m-subsets come from `subsets`, a block shared with
-    the other masked strategy at the same sweep point, when given; else
-    they are drawn from rng after row, one chunk at a time.
+    the other masked strategy and the other axis points of the same array
+    size, when given; else they are drawn from rng after row
+    (`SubsetBlock(rng)`).
 
     Per beam the law is G (R, T + 1), each beam at each observer.  The
-    masked strategies add, chunk by chunk of symbols, the real-mask GEMM
-    mask_k D[s] over the symbols sending beam s, writing whole rows of one
-    (K, T + 1) block, so no complex (K, n) array is ever held.  The
-    operator is built once per (strategy, channel, angles) and reused while
-    the key repeats; only row and the masks are drawn per call.
+    masked strategies add, per chunk of `_chunk_symbols` symbols, the
+    real-mask GEMM mask_k D[s] over the symbols sending beam s, writing
+    whole rows of one (K, T + 1) block, so no complex (K, n) array is ever
+    held.  The operator is built once per (strategy, channel, angles) and
+    reused while the key repeats; only row and the mask are drawn per call.
     """
     thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
     T = thetas.size
-    _, _, _, row, masks = _draw_weights(ch, cfg, kind, m_main, l_s, K, rng, subsets)
     table, G, D = _operator(ch, cfg, kind, m_main, l_s, tuple(thetas.tolist()))
-    if masks is None:
+    row, mask = _draw_weights(kind, len(G), cfg.n_antennas, m_main, K, rng, subsets)
+    if mask is None:
         out = G[row]
     else:
         out = np.empty((K, T + 1), dtype=complex)
         # a row as one opaque item, so each scatter below copies whole rows
         row_item = np.dtype((np.void, out.itemsize * (T + 1)))
         out_rows = out.view(row_item)[:, 0]
-        for start, mask in masks:
-            r, on = row[start : start + len(mask)], mask.astype(float)
+        step = _chunk_symbols(cfg.n_antennas, len(G) - 1)
+        for start in range(0, K, step):
+            r, on = row[start : start + step], mask[start : start + step].astype(float)
             for s in range(1, len(G)):  # masked symbols never send beam 0
                 sym = np.flatnonzero(r == s)
                 gains = (on[sym] @ D[s]).view(complex)
@@ -565,15 +532,14 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     ensemble index, then axis point, then strategy: every strategy and
     axis point with one array size N shares one subset block per ensemble
     index, keyed by the first axis index with that N (so only the antennas
-    axis has more than one), drawn by the first masked strategy to read it
-    and dropped at the next array size or ensemble index, so one block is
-    alive at a time; on the rho_E axis every point also reuses each
-    strategy's memoized beams and observation operator (`_beams`,
-    `_operator`); the memo is cleared here, so nothing carries over from
-    an earlier sweep.  Rates accumulate per strategy.
+    axis has more than one), whose whole mask the first masked strategy to
+    read it draws, and dropped at the next array size or ensemble index,
+    so one block is alive at a time; on the rho_E axis every point also
+    reuses each strategy's memoized observation operator (`_operator`,
+    the one memo), which is cleared here, so nothing carries over from an
+    earlier sweep.  Rates accumulate per strategy.
     """
-    for memo in _MEMOS:
-        memo.cache_clear()
+    _operator.cache_clear()
     rho_r = db_to_linear(spec.rho_r_db)
     points = {}  # per strategy, per axis value: its point, or None if inapplicable
     for strat in spec.strategies:
@@ -609,7 +575,7 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
         channels = {}  # path count -> channel: one draw serves every strategy and point
         for axis_idx, n in enumerate(sizes):
             if sizes.index(n) == axis_idx:  # the first point of this size keys a new block
-                subsets = SubsetBlock(functools.partial(_subset_rng, spec, axis_idx, ens))
+                subsets = SubsetBlock(_subset_rng(spec, axis_idx, ens))
             for strat, pts in points.items():
                 pt = pts[axis_idx]
                 if pt is None:

@@ -2,9 +2,10 @@
 
 `montecarlo.simulate_streams` evaluates the law for a whole symbol block
 chunk by chunk on factored weight rows.  These helpers expand the
-kernel's own draw (`montecarlo._draw_weights`) into dense per-symbol
-weights and evaluate the law one weight vector at a time with `np.vdot`,
-so the tests can hold the kernel to it symbol by symbol.
+kernel's own beams and draw (`montecarlo._beams`,
+`montecarlo._draw_weights`) into dense per-symbol weights and evaluate the
+law one weight vector at a time with `np.vdot`, so the tests can hold the
+kernel to it symbol by symbol.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from mmwsec.array_geometry import array_response
-from mmwsec.montecarlo import _draw_weights
+from mmwsec.montecarlo import _beams, _draw_weights
 from mmwsec.strategies import StrategyKind
 
 
@@ -37,11 +38,10 @@ def full_channel_gain(ch, cfg, w):
 def _expand(ch, cfg, kind, m, l_s, K, seed):
     """The kernel's draw on `seed` as dense rows: each symbol's weights (K, N),
     main-beam mask (K, N) and the channel indices of the paths it steers (K, S)."""
-    rng = np.random.default_rng(seed)
-    B, cand, steer, row, masks = _draw_weights(ch, cfg, kind, m, l_s, K, rng)
-    main = np.zeros((K, cfg.n_antennas), dtype=bool)
-    for start, mask in masks or ():
-        main[start : start + len(mask)] = mask
+    B, cand, steer = _beams(ch, cfg, kind, m, l_s)
+    row, main = _draw_weights(kind, len(B), cfg.n_antennas, m, K, np.random.default_rng(seed))
+    if main is None:
+        main = np.zeros((K, cfg.n_antennas), dtype=bool)
     return np.where(main, B[0], B[row]), main, cand[steer[row]]
 
 

@@ -168,6 +168,36 @@ def test_negative_seed_is_rejected_by_name(tmp_path, capsys, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["sweep", "--axis", "antennas", "--values", "16,32", "--antennas", "64"], "",
+         "flag antennas sets n_antennas, which this run sweeps along its antennas axis"),
+        (["sweep", "--axis", "rho-e", "--values", "10"], "rho_e_db = 3\n",
+         "config key rho_e_db sets rho_e_db, which this run sweeps along its rho-e axis"),
+        (["figure", "1", "--paths", "8"], "",
+         "flag paths sets n_paths, which this run sweeps over its curves 4,8,12"),
+        (["figure", "2"], "antennas = 64\n",
+         "config key antennas sets n_antennas, which this run sweeps over its curves 16,32,64"),
+    ],
+    ids=["flag-axis", "config-axis", "flag-curve", "config-curve"],
+)
+def test_a_setting_the_run_sweeps_is_rejected_by_name(tmp_path, capsys, argv, config, message):
+    # the sweep would write every axis value or curve anyway and drop the setting
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code = run_cli([*argv, "--config", str(cfg), *FAST, "-o", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv*"))
+
+
+def test_all_stands_alone(capsys):
+    code = run_cli(["sweep", "--strategies", "all,joint", *FAST])
+    assert code == 2
+    assert "'all' stands alone" in capsys.readouterr().err
+
+
 def test_empty_strategy_list(capsys):
     code = run_cli(["sweep", "--strategies", ",", *FAST])
     assert code != 0

@@ -1,5 +1,6 @@
 """Unit tests for the sweep harness and vectorized symbol kernels."""
 
+import functools
 import itertools
 from unittest import mock
 
@@ -20,7 +21,6 @@ from mmwsec.montecarlo import (
     SweepSpec,
     _draw_weights,
     _random_subsets,
-    _subset_chunks,
     compare_analytic,
     figure_preset,
     receiver_reference_gain,
@@ -113,15 +113,17 @@ def test_random_subsets_shape_and_uniformity():
 
 
 class _Uniforms:
-    """Stub generator: `.random` hands out the rows of a fixed (K, n) array in order."""
+    """Stub generator: `.random` hands out the rows of a fixed (K, n) array in
+    order, and records how many rows each call asked for."""
 
     def __init__(self, u):
-        self.u, self.taken = u, 0
+        self.u, self.taken, self.calls = u, 0, []
 
     def random(self, shape):
         rows = self.u[self.taken : self.taken + shape[0]]
         assert rows.shape == shape
         self.taken += shape[0]
+        self.calls.append(shape[0])
         return rows.copy()
 
 
@@ -147,26 +149,42 @@ def test_subset_draw_keeps_m_smallest_and_chunks_concatenate(n, K, data):
     by_argsort = np.zeros_like(mask)
     np.put_along_axis(by_argsort, np.argsort(u, axis=1)[:, :m], True, axis=1)
     assert np.array_equal(mask[tie_free], by_argsort[tie_free])
-    # chunked draws are one whole-block draw, on crafted and on generated uniforms
+    # a block drawn in chunks is one whole-block draw, on crafted and on generated uniforms
     step = data.draw(st.integers(1, K), label="chunk symbols")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    with mock.patch.multiple(
-        montecarlo, SUBSET_CHUNK_ELEMENTS=step * n, SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM=1
-    ):
-        chunks = list(_subset_chunks(_Uniforms(u), K, n, m, 1))
-        drawn = np.concatenate(
-            [c for _, c in _subset_chunks(np.random.default_rng(seed), K, n, m, 1)]
-        )
-    assert [start for start, _ in chunks] == list(range(0, K, step))
-    assert np.array_equal(np.concatenate([c for _, c in chunks]), mask)
+    stub = _Uniforms(u)
+    with mock.patch.object(montecarlo, "SUBSET_CHUNK_ELEMENTS", step * n):
+        chunked = SubsetBlock(stub).mask(K, n, m)
+        drawn = SubsetBlock(np.random.default_rng(seed)).mask(K, n, m)
+    assert stub.calls == [min(step, K - start) for start in range(0, K, step)]
+    assert np.array_equal(chunked, mask)
     assert np.array_equal(drawn, _random_subsets(np.random.default_rng(seed), K, n, m))
 
 
 def test_subset_chunks_keep_a_floor_of_symbols_per_beam():
-    # at n = 2048 the element budget alone would give 8-symbol chunks
-    rng = np.random.default_rng(5)
-    starts = [start for start, _ in _subset_chunks(rng, 100, 2048, 3, 2)]
-    assert starts == [0, 2 * montecarlo.SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM]
+    # at n = 2048 the element budget alone would give the kernel 8-symbol chunks
+    assert montecarlo._chunk_symbols(2048, 2) == 2 * montecarlo.SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM
+
+
+def test_subset_draw_keeps_its_element_budget_at_large_n(monkeypatch):
+    # the kernel's per-beam floor (128 symbols for 4 masked beams) does not size the draw:
+    # each `_random_subsets` call keeps to SUBSET_CHUNK_ELEMENTS uniforms, 8 symbols here
+    calls = []
+    spied = montecarlo._random_subsets
+
+    def spy(rng, K, n, m):
+        calls.append(K)
+        return spied(rng, K, n, m)
+
+    monkeypatch.setattr(montecarlo, "_random_subsets", spy)
+    n, K = 2048, 200
+    ch = sample_channel(12, THETA_R, np.random.default_rng(87))
+    simulate_streams(
+        ch, ArrayConfig(n), StrategyKind.JOINT_PATH_ANTENNA, n // 2, 5, [55.0], K,
+        np.random.default_rng(88),
+    )
+    assert sum(calls) == K
+    assert max(calls) <= max(1, montecarlo.SUBSET_CHUNK_ELEMENTS // n)
 
 
 def test_receiver_reference_gain_convention():
@@ -212,14 +230,12 @@ def test_joint_draws_uniform_secondary_paths_and_subsets():
     on_main = np.isclose(w, array_response(cfg, THETA_R), rtol=0, atol=1e-12)
     assert np.allclose(on_main.mean(axis=0), 16 / 32, atol=0.03)
     # draw order: every symbol's pool index first, then the antenna subsets
-    _, cand, _, row, masks = _draw_weights(
-        ch, cfg, StrategyKind.JOINT_PATH_ANTENNA, 16, 12, 10_000, np.random.default_rng(76)
-    )
+    kind = StrategyKind.JOINT_PATH_ANTENNA
+    _, cand, _ = montecarlo._beams(ch, cfg, kind, 16, 12)
+    row, mask = _draw_weights(kind, cand.size, 32, 16, 10_000, np.random.default_rng(76))
     replay = np.random.default_rng(76)
     assert np.array_equal(row, 1 + replay.integers(cand.size - 1, size=10_000))
-    assert np.array_equal(
-        np.concatenate([mask for _, mask in masks]), _random_subsets(replay, 10_000, 32, 16)
-    )
+    assert np.array_equal(mask, _random_subsets(replay, 10_000, 32, 16))
 
 
 # (N, L, m, l_s, angles): today's shape; every non-strongest path in the
@@ -290,23 +306,23 @@ MEMO_SPECS = [
 def test_operator_memo_is_transparent(monkeypatch, axis_spec):
     spec = small_spec(symbols_per_point=200, ensemble=3, **axis_spec)
     memoized = run_sweep(spec).to_csv()
-    monkeypatch.setattr(montecarlo, "_beams", montecarlo._beams.__wrapped__)
-    monkeypatch.setattr(montecarlo, "_operator", montecarlo._operator.__wrapped__)
+    unmemoized = functools.lru_cache(maxsize=0)(montecarlo._operator.__wrapped__)
+    monkeypatch.setattr(montecarlo, "_operator", unmemoized)
     assert run_sweep(spec).to_csv() == memoized
 
 
 def test_operator_memo_is_read_only_and_cleared_per_sweep():
     cfg = ArrayConfig(16)
     ch = sample_channel(8, THETA_R, np.random.default_rng(83))
-    block = SubsetBlock(lambda: np.random.default_rng(85))
+    block = SubsetBlock(np.random.default_rng(85))
     for kind in ALL:
         simulate_streams(ch, cfg, kind, 6, 4, [55.0], 100, np.random.default_rng(84), block)
         cached = [
             *montecarlo._beams(ch, cfg, kind, 6, 4),
             *montecarlo._operator(ch, cfg, kind, 6, 4, (55.0,)),
-            *(mask for _, mask in block.chunks(100, 16, 6, 1)),
+            block.mask(100, 16, 6),
         ]
-        assert montecarlo._beams.cache_info().hits and montecarlo._operator.cache_info().hits
+        assert montecarlo._operator.cache_info().hits
         for a in cached:
             if a is not None:
                 assert not a.flags.writeable
@@ -314,17 +330,11 @@ def test_operator_memo_is_read_only_and_cleared_per_sweep():
 
     def evaluate(pt, ch, rng, subsets):
         if not sizes:
-            sizes.append(
-                (
-                    montecarlo._beams.cache_info().currsize,
-                    montecarlo._operator.cache_info().currsize,
-                    subsets.drawn,
-                )
-            )
+            sizes.append((montecarlo._operator.cache_info().currsize, subsets._mask is None))
         return 1.0, 0.5
 
     montecarlo._sweep(small_spec(ensemble=2), evaluate)
-    assert sizes == [(0, 0, 0)]
+    assert sizes == [(0, True)]
 
 
 SHARING_SPECS = [
@@ -369,16 +379,16 @@ def test_switched_and_joint_read_one_subset_block_per_array_size_and_channel(
         drawn.append(K * n)
         return spied(rng, K, n, m)
 
-    reads = {}  # block -> every reader's concatenated masks
-    read = SubsetBlock.chunks
+    reads = {}  # block -> every reader's mask
+    read = SubsetBlock.mask
 
     def record(block, *args):
-        chunks = list(read(block, *args))
-        reads.setdefault(block, []).append(np.concatenate([mask for _, mask in chunks]))
-        yield from chunks
+        mask = read(block, *args)
+        reads.setdefault(block, []).append(mask)
+        return mask
 
     monkeypatch.setattr(montecarlo, "_random_subsets", spy)
-    monkeypatch.setattr(SubsetBlock, "chunks", record)
+    monkeypatch.setattr(SubsetBlock, "mask", record)
     spec = small_spec(
         strategies=(StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA),
         symbols_per_point=K, ensemble=ensemble, **axis_spec,
@@ -407,18 +417,17 @@ def test_switched_and_joint_read_one_subset_block_per_array_size_and_channel(
 
 
 def test_subset_block_is_one_draw_whatever_its_first_reader(monkeypatch):
-    # chunks of 3 symbols for one masked beam, 12 for four: the block is still one (K, n) draw
-    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_ELEMENTS", 3 * 16)
-    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM", 3)
+    # chunks of 3 symbols or of 12: the block is still one (K, n) draw, and every
+    # later reader gets the first reader's read-only array
     whole = _random_subsets(np.random.default_rng(86), 50, 16, 6)
-    for first, later in ((1, 4), (4, 1)):
-        block = SubsetBlock(lambda: np.random.default_rng(86))
-        for beams in (first, later):
-            chunks = list(block.chunks(50, 16, 6, beams))
-            assert [start for start, _ in chunks] == list(range(0, 50, 3 * beams))
-            assert np.array_equal(np.concatenate([mask for _, mask in chunks]), whole)
+    for step in (3, 12):
+        monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_ELEMENTS", step * 16)
+        block = SubsetBlock(np.random.default_rng(86))
+        first = block.mask(50, 16, 6)
+        assert np.array_equal(first, whole) and not first.flags.writeable
+        assert block.mask(50, 16, 6) is first
     with pytest.raises(ValueError, match="subset block holds"):
-        next(block.chunks(50, 16, 5, 1))
+        block.mask(50, 16, 5)
 
 
 def test_sweep_hands_over_uniform_subsets():
@@ -428,7 +437,7 @@ def test_sweep_hands_over_uniform_subsets():
     def evaluate(pt, ch, rng, subsets):
         if not seen:
             K, n = 10_000, pt.cfg.n_antennas
-            seen.append(np.concatenate([mask for _, mask in subsets.chunks(K, n, pt.m_main, 1)]))
+            seen.append(subsets.mask(K, n, pt.m_main))
         return 1.0, 0.5
 
     spec = small_spec(

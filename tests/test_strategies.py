@@ -1,5 +1,6 @@
 """Unit tests for the strategy parameters and for the weight rows each
-strategy sends in the Monte Carlo kernel (`montecarlo._draw_weights`)."""
+strategy sends in the Monte Carlo kernel (`montecarlo._beams`,
+`montecarlo._draw_weights`)."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from oracle import joint_symbols, sent_symbols
 
 from mmwsec.array_geometry import ArrayConfig, array_response
 from mmwsec.channel import sample_channel, top_k_paths
-from mmwsec.montecarlo import _draw_weights, simulate_streams
+from mmwsec.montecarlo import _beams, _draw_weights, simulate_streams
 from mmwsec.strategies import StrategyKind, StrategyParams, secondary_pool
 
 THETA_R = 40.0
@@ -34,9 +35,8 @@ def test_params_validation():
 
 
 def test_conventional_plan_is_static(channel):
-    W, cand, steer, row, _ = _draw_weights(
-        channel, CFG, StrategyKind.CONVENTIONAL, 16, 5, 20, np.random.default_rng(0)
-    )
+    W, cand, steer = _beams(channel, CFG, StrategyKind.CONVENTIONAL, 16, 5)
+    row, _ = _draw_weights(StrategyKind.CONVENTIONAL, len(W), 32, 16, 20, np.random.default_rng(0))
     assert len(W) == 1 and not row.any()  # every symbol sends the one row
     assert channel.aods_deg[cand[steer[0]]].tolist() == [THETA_R]
     assert np.array_equal(W[0], A_R)
