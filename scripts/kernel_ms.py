@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
-"""Milliseconds and minor page faults per switched and joint `simulate_streams` block.
+"""Milliseconds and minor page faults per switched and joint block and its estimates.
 
-Times one block of K = 10,000 symbols at L = 12 paths, m = N/2 antennas
-on the main beam, observed at 40 and 55 degrees: switched once per N,
-joint at l_s = 5 and 12.  Every call draws a fresh channel, so no call
-reuses an operator built by the one before.  Prints one JSON object with
-the median milliseconds and the median minor page faults (`ru_minflt` of
-this process) over REPS calls per configuration (fewer at N = 1024).
+Times one `simulate_streams` block of K = 10,000 symbols at L = 12
+paths, m = N/2 antennas on the main beam, observed at 40 and 55 degrees
+(switched once per N, joint at l_s = 5 and 12), together with the
+estimator calls the sweep makes on it: the receiver SNR, and the
+alignment mixture at 40 degrees (switched) or the location mixture with
+55 degrees as its sidelobe angle (joint).  The block and the estimates
+are timed as one, so a tree whose kernel reduces what its estimators
+used to compares like for like; both the per-symbol estimator API and
+the per-beam moment API are supported.  Every call draws a fresh
+channel, so no call reuses an operator built by the one before.  Prints
+one JSON object with the median milliseconds and the median minor page
+faults (`ru_minflt` of this process) over REPS calls per configuration
+(fewer at N = 1024).
 
     python3 scripts/kernel_ms.py                      # this checkout's src/
     python3 scripts/kernel_ms.py --src OTHER/src      # another checkout
@@ -27,7 +34,7 @@ import numpy as np
 
 ANTENNAS = (16, 32, 64, 256, 1024)
 POOLS = (5, 12)
-K, L, THETA_R, ANGLES = 10_000, 12, 40.0, (40.0, 55.0)
+K, L, THETA_R, ANGLES, NOISE = 10_000, 12, 40.0, (40.0, 55.0), 10**-1.5
 REPS, REPS_LARGE = 11, 5
 
 
@@ -36,10 +43,25 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
+    from mmwsec import analysis
     from mmwsec.array_geometry import ArrayConfig
     from mmwsec.channel import sample_channel
     from mmwsec.montecarlo import simulate_streams
     from mmwsec.strategies import StrategyKind
+
+    def estimate(streams, joint):
+        """The sweep's receiver and eavesdropper estimates of one block."""
+        if hasattr(streams, "moments"):  # per-beam moments
+            eve, aligned, side = streams.moments.at(0), streams.table[0], streams.moments.at([1])
+            analysis.receiver_snr(streams.recv_abs_sum, K, 1.0)
+            if joint:
+                return analysis.location_mixture_snr(eve, aligned, side, L, NOISE)
+            return analysis.alignment_mixture_snr(eve, aligned, NOISE)
+        analysis.receiver_snr(streams.recv, 1.0)  # per-symbol gains
+        eve, aligned = streams.eaves[0], streams.aligned[0]
+        if joint:
+            return analysis.location_mixture_snr(eve[aligned], [streams.eaves[1]], L, NOISE)
+        return analysis.alignment_mixture_snr(eve, aligned, NOISE)
 
     seeds = itertools.count()
     configs = [("switched", StrategyKind.SWITCHED_ARRAY, n, POOLS[0]) for n in ANTENNAS]
@@ -53,7 +75,7 @@ def main(argv=None) -> int:
             rng = np.random.default_rng(seed)
             f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
-            simulate_streams(ch, cfg, kind, n // 2, l_s, ANGLES, K, rng)
+            estimate(simulate_streams(ch, cfg, kind, n // 2, l_s, ANGLES, K, rng), name == "joint")
             ms.append((time.perf_counter() - t0) * 1e3)
             minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
         label = f"{name} N={n}" + (f" l_s={l_s}" if name == "joint" else "")

@@ -2,6 +2,9 @@
 counterparts.
 
 Rate follows the wiretap difference-of-logs with clamping at zero.  The
+Monte Carlo estimators read a block's per-beam moments (`BeamMoments`:
+count, mean gain and M2 per beam and observer, as the kernel reduces
+them) and pool the beams of each group by the law of total variance.  The
 random-path SNRs use the moments of the interception kernel `dirichlet_B`
 over the uniform path draw; the joint-technique SNRs use the exact
 moments of the beta interference terms over the random antenna subset
@@ -148,61 +151,98 @@ def snr_e_joint(
     return aligned + unaligned
 
 
-def _coherent_snr(g: np.ndarray, noise_power_linear: float) -> float:
-    """The coherent mean / variance estimator behind every eavesdropper SNR."""
-    mean = g.mean()
-    var = float(np.mean(np.abs(g - mean) ** 2))
-    return float(np.abs(mean) ** 2 / (var + noise_power_linear))
+@dataclass(frozen=True)
+class BeamMoments:
+    """Per-beam sample moments of one block's gains at C observers.
+
+    count (R,) is the number of symbols sent on each beam; mean (R, C) is
+    their mean gain at each observer and m2 (R, C) their M2, the sum of
+    squared deviations sum |g - mean|^2.  A beam that sends no symbol has
+    count 0, a finite mean and M2 0, so it weighs nothing in a pool.
+    """
+
+    count: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
+
+    def at(self, cols) -> BeamMoments:
+        """The moments at the observer columns cols (an index or a slice)."""
+        return BeamMoments(self.count, self.mean[:, cols], self.m2[:, cols])
+
+    def pool(self, beams=slice(None)) -> tuple[int, np.ndarray, np.ndarray]:
+        """(n, mean, M2) of the symbols on the selected beams, at every observer.
+
+        Groups merge by the law of total variance (the pairwise update of
+        Chan, Golub & LeVeque, Am. Stat. 1983, over all beams at once):
+        mean = sum n_s mean_s / n and M2 = sum M2_s + sum n_s |mean_s - mean|^2.
+        An empty selection gives n = 0 with zero mean and M2.
+        """
+        n, mean, m2 = self.count[beams], self.mean[beams], self.m2[beams]
+        total = int(n.sum())
+        if not total:
+            return 0, np.zeros(mean.shape[1:], dtype=complex), np.zeros(m2.shape[1:])
+        pooled = n @ mean / total
+        return total, pooled, m2.sum(axis=0) + n @ (np.abs(mean - pooled) ** 2)
 
 
-def receiver_snr(samples, noise_power_linear: float) -> float:
+def _coherent_snr(n, mean, m2, noise_power_linear):
+    """The coherent mean / variance estimator behind every eavesdropper SNR:
+    |mean|^2 / (M2 / n + noise), per observer."""
+    return np.abs(mean) ** 2 / (m2 / n + noise_power_linear)
+
+
+def receiver_snr(abs_sum: float, count: int, noise_power_linear: float) -> float:
     """Receiver SNR with schedule-known fluctuation removed:
-    (mean |gain|)^2 / noise."""
-    g = np.asarray(samples, dtype=complex)
-    if g.size < 1:
+    (mean |gain|)^2 / noise, from the sum of |gain| over count symbols."""
+    if count < 1:
         raise ValueError("at least 1 sample required")
-    return float(np.abs(g).mean() ** 2 / noise_power_linear)
+    return float((abs_sum / count) ** 2 / noise_power_linear)
 
 
-def alignment_mixture_snr(gains, labels, noise_power_linear: float) -> float:
+def alignment_mixture_snr(moments: BeamMoments, aligned, noise_power_linear: float) -> float:
     """Eavesdropper SNR conditioned on the per-symbol alignment event.
 
-    labels is cast to a boolean mask, true where a symbol is aligned with
-    the transmit angle.  Symbols split into the unaligned and the aligned
-    group, summed in that order (`np.unique`'s order of the two labels);
-    each nonempty group's SNR uses the coherent-mean / variance estimator
-    and the groups mix with empirical frequencies.  Mirrors the closed
-    forms' probability-weighted structure.
+    moments are a block's per-beam moments at the eavesdropper's angle
+    (one observer) and aligned marks, per beam, whether it steers a path
+    sharing that angle's cosine.  The beams pool into the unaligned and the
+    aligned group, summed in that order; each nonempty group's SNR uses the
+    coherent-mean / variance estimator and the groups mix with empirical
+    frequencies.  Mirrors the closed forms' probability-weighted structure.
     """
-    g = np.asarray(gains, dtype=complex)
-    aligned = np.asarray(labels, dtype=bool)
-    if g.size != aligned.size:
-        raise ValueError("gains and labels must have equal length")
+    aligned = np.asarray(aligned, dtype=bool)
+    if aligned.shape != moments.count.shape:
+        raise ValueError("moments and alignment labels must cover the same beams")
+    K = int(moments.count.sum())
     total = 0.0
-    for sel in (g[~aligned], g[aligned]):
-        if sel.size:
-            total += (sel.size / g.size) * _coherent_snr(sel, noise_power_linear)
+    for group in (~aligned, aligned):
+        n, mean, m2 = moments.pool(group)
+        if n:
+            total += (n / K) * float(_coherent_snr(n, mean, m2, noise_power_linear))
     return total
 
 
-def location_mixture_snr(aligned_gains, sidelobe_gain_sets, n_paths, noise_power_linear) -> float:
+def location_mixture_snr(
+    main: BeamMoments, aligned, sidelobes: BeamMoments, n_paths, noise_power_linear
+) -> float:
     """Eavesdropper SNR under the pessimistic random-location assumption.
 
     The eavesdropper occupies one of the L paths uniformly at random:
     with probability 2/L it sits on a transmit angle and intercepts the
     mainlobe coherently (thermal noise only), otherwise it observes the
     sidelobe gains at a non-transmitted path angle, whose
-    symbol-to-symbol spread acts as artificial noise.  Mirrors the
+    symbol-to-symbol spread acts as artificial noise.  main holds the
+    per-beam moments at the transmit angle, of which the beams marked
+    aligned make up the mainlobe; sidelobes holds every beam's moments at
+    the C non-transmitted angles, each pooled over all beams.  Mirrors the
     two-term closed form of the joint technique.
     """
     L = n_paths
-    g = np.asarray(aligned_gains, dtype=complex)
-    snr_main = float(np.abs(g.mean()) ** 2 / noise_power_linear) if g.size else 0.0
-    side = [
-        _coherent_snr(np.asarray(s, dtype=complex), noise_power_linear)
-        for s in sidelobe_gain_sets
-    ]
-    snr_side = float(np.mean(side)) if side else 0.0
+    n, mean, _ = main.pool(np.asarray(aligned, dtype=bool))
+    snr_main = float(np.abs(mean) ** 2 / noise_power_linear) if n else 0.0
+    snr_side = 0.0
+    if sidelobes.mean.shape[1]:
+        n, mean, m2 = sidelobes.pool()
+        snr_side = float(np.mean(_coherent_snr(n, mean, m2, noise_power_linear)))
     return (2.0 / L) * snr_main + (1.0 - 2.0 / L) * snr_side
 
 

@@ -18,12 +18,16 @@ streams are keyed so results are reproducible and schedule-independent:
 
 `simulate_streams` evaluates one observation law on factored weight rows
 (`_draw_weights`): a beam per symbol, plus, for the switched and joint
-schemes, a per-symbol antenna subset.  The subsets of a block are drawn
-whole (`SubsetBlock.mask`, at most `SUBSET_CHUNK_ELEMENTS` uniforms per
-draw call) and applied in cache-sized chunks of symbols
-(`_chunk_symbols`: `SUBSET_CHUNK_ELEMENTS // n`, but at least
-`SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM` per masked beam) as a real-mask GEMM.
-The receiver is one more observer row per beam, so each GEMM yields every
+schemes, a per-symbol antenna subset.  It hands the estimators per-beam
+moments, not per-symbol gains: symbols on one beam s share its
+deterministic gain G[s], so each observer's count, mean and M2 split by
+beam, and the estimators pool beams into groups by total variance
+(`analysis.BeamMoments`).  Conventional and random-path moments follow
+from the beam counts and G alone.  The masked schemes sort their symbols
+by beam once, apply the subsets (drawn whole, `SubsetBlock.mask`) as a
+real-mask GEMM over each beam's contiguous rows of one block, in GEMMs of
+`_chunk_symbols` rows, and reduce each beam's rows to its sums.  The
+receiver is one more observer row per beam, so each GEMM yields every
 observer's gain.  The deterministic part of a block (beams, alignment
 table, GEMM operands) is memoized per strategy for the last (channel,
 angles) key (`_operator`).  The sweep runs ensemble index, then axis
@@ -49,6 +53,7 @@ import numpy as np
 
 from .analysis import (
     alignment_mixture_snr,
+    BeamMoments,
     db_to_linear,
     estimate_joint_moments,
     joint_sidelobe_aods,
@@ -236,11 +241,11 @@ def figure_preset(fig_id: int) -> SweepSpec:
 # Uniforms per subset draw call: `SubsetBlock` draws its mask
 # SUBSET_CHUNK_ELEMENTS // n symbols at a time, so each call's uniforms and
 # partition copy stay 128 KB at any array size.  The switched and joint
-# kernels walk their symbols in chunks of the same element budget, but of
-# at least SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM symbols per masked beam, so at
-# large n the per-beam GEMMs do not shrink to a few rows each.
+# kernels apply it in GEMMs of the same element budget, each over one
+# beam's beam-sorted rows, but of at least SUBSET_CHUNK_MIN_ROWS rows, so
+# at large n the GEMMs do not shrink to a few rows each.
 SUBSET_CHUNK_ELEMENTS = 1 << 14
-SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM = 32
+SUBSET_CHUNK_MIN_ROWS = 32
 
 
 def _random_subsets(rng, K, n, m) -> np.ndarray:
@@ -259,9 +264,9 @@ def _random_subsets(rng, K, n, m) -> np.ndarray:
     return mask
 
 
-def _chunk_symbols(n, beams):
-    """Symbols per kernel chunk at n antennas with `beams` masked beams."""
-    return max(1, SUBSET_CHUNK_ELEMENTS // n, SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM * beams)
+def _chunk_symbols(n):
+    """Rows per mask GEMM at n antennas."""
+    return max(1, SUBSET_CHUNK_ELEMENTS // n, SUBSET_CHUNK_MIN_ROWS)
 
 
 class SubsetBlock:
@@ -295,19 +300,47 @@ class SubsetBlock:
 
 @dataclass
 class SymbolStreams:
-    """Vectorized per-symbol gains for one (channel, strategy) block.
+    """One (channel, strategy) block of K symbols, reduced to per-beam moments.
 
-    recv holds the receiver's schedule-known coherent gains (K,); eaves
-    holds the eavesdropper gains at each requested observation angle
-    (T, K); aligned marks, per angle, the symbols that steer a beam at a
-    path sharing that angle's cosine (T, K).  recv and eaves are views into
-    one symbol-major (K, T + 1) block, so eaves is the transpose of its
-    first T columns.
+    moments (`BeamMoments`) holds, per beam s, the number of symbols that
+    sent it and their mean gain and M2 at each of the T eavesdropper
+    angles and at the receiver (column T); recv_abs_sum is the receiver's
+    sum of |gain| over the block; table (T, R) marks the beams that steer a
+    path sharing angle t's cosine.  The sweep's estimators read only these.
+
+    recv (K,), eaves (T, K) and aligned (T, K) give the same block per
+    symbol, in symbol order, for the tests: each symbol's gain is its
+    beam's G[row_k] plus, for the masked strategies, the random part y of
+    its row in the beam-sorted block (`_block`, row i holding symbol
+    `_order[i]`; `_order` None when the block is in symbol order).
     """
 
-    recv: np.ndarray
-    eaves: np.ndarray
-    aligned: np.ndarray
+    moments: BeamMoments
+    recv_abs_sum: float
+    table: np.ndarray
+    row: np.ndarray
+    G: np.ndarray
+    _block: np.ndarray | None = None
+    _order: np.ndarray | None = None
+
+    @functools.cached_property
+    def _gains(self) -> np.ndarray:
+        g = self.G[self.row]
+        if self._block is not None:
+            g[slice(None) if self._order is None else self._order] += self._block
+        return g
+
+    @property
+    def recv(self) -> np.ndarray:
+        return self._gains[:, -1]
+
+    @property
+    def eaves(self) -> np.ndarray:
+        return self._gains[:, :-1].T
+
+    @property
+    def aligned(self) -> np.ndarray:
+        return self.table[:, self.row]
 
 
 def _read_only(*arrays):
@@ -368,6 +401,10 @@ def _draw_weights(
     else:
         row = 1 + rng.integers(R - 1, size=K)  # every pool index before any subset
     return row, (SubsetBlock(rng) if subsets is None else subsets).mask(K, n, m_main)
+
+
+# the strategies whose draw reads its generator when handed a subset block
+PLAN_READERS = (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
 
 
 @functools.lru_cache(maxsize=len(StrategyKind))
@@ -432,33 +469,56 @@ def simulate_streams(
     size, when given; else they are drawn from rng after row
     (`SubsetBlock(rng)`).
 
-    Per beam the law is G (R, T + 1), each beam at each observer.  The
-    masked strategies add, per chunk of `_chunk_symbols` symbols, the
-    real-mask GEMM mask_k D[s] over the symbols sending beam s, writing
-    whole rows of one (K, T + 1) block, so no complex (K, n) array is ever
-    held.  The operator is built once per (strategy, channel, angles) and
-    reused while the key repeats; only row and the mask are drawn per call.
+    Returns the block as per-beam moments (`SymbolStreams`).  Per beam the
+    law is G (R, T + 1), each beam at each observer, so conventional and
+    random-path symbols on beam s all have the gain G[s]: mean G[s], M2 0.
+    The masked strategies add a random part y_k = mask_k D[s].  They sort
+    the symbols by beam (a stable radix sort on the beam index), write each
+    beam's contiguous rows of one (K, T + 1) block of y with real-mask
+    GEMMs of at most `_chunk_symbols` rows (so no complex (K, n) array is
+    ever held), and reduce the block with one `np.add.reduceat` for each
+    beam's sum of y and one einsum per beam for its sum of |y|^2; then
+    mean = G[s] + sum y / n_s and M2 = sum |y|^2 - |sum y|^2 / n_s, clipped
+    at 0.  The receiver's sum of |G[s, T] + y_T| is taken per GEMM.  The
+    operator is built once per (strategy, channel, angles) and reused
+    while the key repeats; only row and the mask are drawn per call.
     """
     thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
-    T = thetas.size
     table, G, D = _operator(ch, cfg, kind, m_main, l_s, tuple(thetas.tolist()))
-    row, mask = _draw_weights(kind, len(G), cfg.n_antennas, m_main, K, rng, subsets)
-    if mask is None:
-        out = G[row]
-    else:
-        out = np.empty((K, T + 1), dtype=complex)
-        # a row as one opaque item, so each scatter below copies whole rows
-        row_item = np.dtype((np.void, out.itemsize * (T + 1)))
-        out_rows = out.view(row_item)[:, 0]
-        step = _chunk_symbols(cfg.n_antennas, len(G) - 1)
-        for start in range(0, K, step):
-            r, on = row[start : start + step], mask[start : start + step].astype(float)
-            for s in range(1, len(G)):  # masked symbols never send beam 0
-                sym = np.flatnonzero(r == s)
-                gains = (on[sym] @ D[s]).view(complex)
-                gains += G[s]
-                out_rows[start + sym] = gains.view(row_item)[:, 0]
-    return SymbolStreams(out[:, T], out[:, :T].T, table[:, row])
+    R, n = len(G), cfg.n_antennas
+    row, mask = _draw_weights(kind, R, n, m_main, K, rng, subsets)
+    count = np.bincount(row, minlength=R)
+    if mask is None:  # every symbol of beam s has the gain G[s]
+        moments = BeamMoments(count, G, np.zeros(G.shape))
+        return SymbolStreams(moments, float(count @ np.abs(G[:, -1])), table, row, G)
+    # beam-sorted: beam s's symbols are the rows [start[s], end[s]) of the block
+    order = None
+    if count.max() < K:  # more than one beam: numpy radix-sorts a small-integer copy
+        order = np.argsort(row.astype(np.min_scalar_type(R - 1)), kind="stable")
+    end = np.cumsum(count)
+    start = end - count
+    sent = np.flatnonzero(count)  # masked symbols never send beam 0
+    y = np.empty((K, G.shape[1]), dtype=complex)  # the random part mask_k D[s]
+    yf = y.view(float)
+    step = _chunk_symbols(n)
+    recv_abs_sum = 0.0
+    for s in sent:
+        for lo in range(start[s], end[s], step):
+            hi = min(lo + step, end[s])
+            on = mask[lo:hi] if order is None else np.take(mask, order[lo:hi], axis=0)
+            np.matmul(on.astype(float), D[s], out=yf[lo:hi])
+            # per GEMM, so no temporary is K symbols long
+            recv_abs_sum += float(np.abs(y[lo:hi, -1] + G[s, -1]).sum())
+    sums = np.add.reduceat(y, start[sent], axis=0)  # only sent beams: no empty segment
+    squares = np.empty(sums.shape)
+    for i, s in enumerate(sent):
+        seg = yf[start[s] : end[s]]
+        squares[i] = np.einsum("ij,ij->j", seg, seg).reshape(-1, 2).sum(axis=1)
+    n_sent = count[sent, None]
+    mean, m2 = G.copy(), np.zeros(G.shape)
+    mean[sent] += sums / n_sent
+    m2[sent] = np.maximum(squares - np.abs(sums) ** 2 / n_sent, 0.0)
+    return SymbolStreams(BeamMoments(count, mean, m2), recv_abs_sum, table, row, G, y, order)
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +582,15 @@ def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n
     return True
 
 
-def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
+def _sweep(spec: SweepSpec, evaluate, plan_readers=PLAN_READERS) -> ResultTable:
     """The sweep loop shared by `run_sweep` and `compare_analytic`.
 
     evaluate(point, ch, rng, subsets) returns one channel's linear
     (snr_r, snr_e); rng is the plan stream of that (strategy, axis value,
-    channel) and subsets the `SubsetBlock` of that (array size, ensemble
-    index), which only the Monte Carlo evaluation reads.  The loop runs
+    channel), built only for the strategies in plan_readers (None for the
+    others, whose draw never reads it), and subsets the `SubsetBlock` of
+    that (array size, ensemble index), which only the Monte Carlo
+    evaluation reads.  The loop runs
     ensemble index, then axis point, then strategy: every strategy and
     axis point with one array size N shares one subset block per ensemble
     index, keyed by the first axis index with that N (so only the antennas
@@ -585,7 +647,7 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
                     ch = channels[pt.n_paths] = sample_channel(
                         pt.n_paths, spec.theta_r_deg, _channel_rng(spec, pt.n_paths, ens)
                     )
-                rng = _plan_rng(spec, strat, axis_idx, ens)
+                rng = _plan_rng(spec, strat, axis_idx, ens) if strat in plan_readers else None
                 snr_r, snr_e = evaluate(pt, ch, rng, subsets)
                 acc[strat][:, axis_idx, ens] = secrecy_rate(SnrPair(snr_r, snr_e)), snr_r, snr_e
     rows = []
@@ -643,14 +705,13 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
             subsets,
         )
         sigma_r = receiver_reference_gain(ch, pt.strategy) ** 2 / pt.rho_r
-        snr_r = receiver_snr(streams.recv, sigma_r)
+        snr_r = receiver_snr(streams.recv_abs_sum, spec.symbols_per_point, sigma_r)
+        eve, aligned = streams.moments.at(0), streams.table[0]
         if joint_mix:
-            aligned = streams.aligned[0]
-            snr_e = location_mixture_snr(
-                streams.eaves[0][aligned], list(streams.eaves[1:]), pt.n_paths, 1.0 / pt.rho_e
-            )
+            side = streams.moments.at(slice(1, len(theta_list)))
+            snr_e = location_mixture_snr(eve, aligned, side, pt.n_paths, 1.0 / pt.rho_e)
         else:
-            snr_e = alignment_mixture_snr(streams.eaves[0], streams.aligned[0], 1.0 / pt.rho_e)
+            snr_e = alignment_mixture_snr(eve, aligned, 1.0 / pt.rho_e)
         return snr_r, snr_e
 
     return _sweep(spec, evaluate)
@@ -704,4 +765,4 @@ def compare_analytic(spec: SweepSpec) -> ResultTable:
         )
         return snr_r, snr_e
 
-    return _sweep(spec, evaluate)
+    return _sweep(spec, evaluate, plan_readers=())

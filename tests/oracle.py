@@ -6,12 +6,18 @@ kernel's own beams and draw (`montecarlo._beams`,
 `montecarlo._draw_weights`) into dense per-symbol weights and evaluate the
 law one weight vector at a time with `np.vdot`, so the tests can hold the
 kernel to it symbol by symbol.
+
+It also keeps the per-symbol forms of the sweep's SNR estimators, which
+the kernel's per-beam moments replace (`analysis.BeamMoments`), and
+two-pass per-beam statistics of a block's gains, so the tests can hold
+the moment-based estimators to the sample formulas.
 """
 
 import math
 
 import numpy as np
 
+from mmwsec.analysis import BeamMoments
 from mmwsec.array_geometry import array_response
 from mmwsec.montecarlo import _beams, _draw_weights
 from mmwsec.strategies import StrategyKind
@@ -56,3 +62,48 @@ def joint_symbols(ch, cfg, m, l_s, K, seed):
     """The joint kernel's symbols on `seed`: weights, main-beam masks (K, N)
     and (main, secondary) paths."""
     return _expand(ch, cfg, StrategyKind.JOINT_PATH_ANTENNA, m, l_s, K, seed)
+
+
+def beam_moments(gains, beam, R):
+    """Two-pass per-beam moments of gains (K,) or (C, K), sent on beam (K,) of R.
+
+    The mean and M2 of a beam come from numpy's mean and a sum of squared
+    deviations from it; a beam with no symbol gets mean 0 and M2 0.  The
+    moments have one column per observer, or none for 1-D gains.
+    """
+    g = np.asarray(gains, dtype=complex).T
+    beam = np.asarray(beam)
+    count = np.bincount(beam, minlength=R)
+    mean = np.zeros((R, *g.shape[1:]), dtype=complex)
+    m2 = np.zeros((R, *g.shape[1:]))
+    for s in np.flatnonzero(count):
+        mean[s] = g[beam == s].mean(axis=0)
+        m2[s] = (np.abs(g[beam == s] - mean[s]) ** 2).sum(axis=0)
+    return BeamMoments(count, mean, m2)
+
+
+def coherent_snr(g, noise):
+    """|sample mean|^2 / (sample variance + noise), two-pass."""
+    mean = g.mean()
+    return float(np.abs(mean) ** 2 / (float(np.mean(np.abs(g - mean) ** 2)) + noise))
+
+
+def receiver_snr_of_samples(gains, noise):
+    """(mean |gain|)^2 / noise over the receiver's per-symbol gains."""
+    return float(np.abs(np.asarray(gains)).mean() ** 2 / noise)
+
+
+def alignment_mixture_snr_of_samples(gains, labels, noise):
+    """The unaligned and the aligned symbols' coherent SNRs, weighted by frequency."""
+    g, aligned = np.asarray(gains, dtype=complex), np.asarray(labels, dtype=bool)
+    groups = [sel for sel in (g[~aligned], g[aligned]) if sel.size]
+    return sum((sel.size / g.size) * coherent_snr(sel, noise) for sel in groups)
+
+
+def location_mixture_snr_of_samples(aligned_gains, sidelobe_gain_sets, n_paths, noise):
+    """2/L times the mainlobe's |mean|^2 / noise plus (1 - 2/L) times the mean
+    coherent SNR over the sidelobe angles."""
+    g = np.asarray(aligned_gains, dtype=complex)
+    snr_main = float(np.abs(g.mean()) ** 2 / noise) if g.size else 0.0
+    side = [coherent_snr(np.asarray(s, dtype=complex), noise) for s in sidelobe_gain_sets]
+    return (2 / n_paths) * snr_main + (1 - 2 / n_paths) * (float(np.mean(side)) if side else 0.0)

@@ -102,7 +102,7 @@ def test_criterion_3_random_path_receiver_snr(capsys):
         np.random.default_rng(1002),
     )
     sigma_r = channel_stats(ch).mean_gain ** 2 / rho_r
-    est = receiver_snr(streams.recv, sigma_r)
+    est = receiver_snr(streams.recv_abs_sum, 100_000, sigma_r)
     err = abs(est - target) / target
     report(
         capsys, 3, err < 0.05,

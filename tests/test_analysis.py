@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import joint_symbols, observed_gain, receiver_gain
+from oracle import beam_moments, joint_symbols, observed_gain, receiver_gain
 
 from mmwsec.analysis import (
     JointBetaMoments,
@@ -121,7 +121,7 @@ def test_snr_e_random_path_matches_monte_carlo():
         ch, CFG, StrategyKind.RANDOM_PATH, 16, 5, [THETA_R], 100_000,
         np.random.default_rng(52),
     )
-    mc = alignment_mixture_snr(streams.eaves[0], streams.aligned[0], 1 / rho_e)
+    mc = alignment_mixture_snr(streams.moments.at(0), streams.table[0], 1 / rho_e)
     cf = snr_e_random_path(32, 12, rho_e, THETA_R, ch.aods_deg, CFG)
     assert cf == pytest.approx(mc, rel=0.05)
 
@@ -165,7 +165,8 @@ def test_mc_snr_estimator_basics():
     # with no aligned symbol the alignment mixture is the plain coherent
     # estimator |sample mean|^2 / (sample variance + noise power)
     def coherent_snr(g, noise):
-        return alignment_mixture_snr(g, np.zeros(g.size, dtype=bool), noise)
+        one_beam = beam_moments(g, np.zeros(g.size, dtype=int), 1)
+        return alignment_mixture_snr(one_beam, [False], noise)
 
     assert coherent_snr(np.full(100, 2.0 + 0j), 0.5) == pytest.approx(8.0)
     rng = np.random.default_rng(55)
@@ -184,7 +185,7 @@ def test_random_path_receiver_estimator_converges():
         np.random.default_rng(58),
     )
     sigma_r = channel_stats(ch).mean_gain ** 2 / rho_r
-    est = receiver_snr(streams.recv, sigma_r)
+    est = receiver_snr(streams.recv_abs_sum, 100_000, sigma_r)
     assert est == pytest.approx(snr_r_random_path(32, 12, rho_r), rel=0.05)
 
 
@@ -192,20 +193,21 @@ def test_alignment_mixture_hand_example():
     # two groups: aligned constant 2.0 (weight 1/4), rest zero-mean
     gains = np.array([2.0, 2.0, 1.0, -1.0, 1.0j, -1.0j, 1.0, -1.0], dtype=complex)
     labels = np.array([1, 1, 0, 0, 0, 0, 0, 0])
-    got = alignment_mixture_snr(gains, labels, 0.5)
+    got = alignment_mixture_snr(beam_moments(gains, labels, 2), [False, True], 0.5)
     aligned = (2 / 8) * (4.0 / 0.5)
     unaligned = (6 / 8) * (0.0 / (1.0 + 0.5))
     assert got == pytest.approx(aligned + unaligned)
 
 
 def test_location_mixture_hand_example():
-    aligned = np.full(10, 3.0 + 0j)
-    side = [np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)]
-    got = location_mixture_snr(aligned, side, 12, 0.5)
+    aligned = beam_moments(np.full(10, 3.0 + 0j), np.zeros(10, dtype=int), 1)
+    side = beam_moments([np.array([1.0, -1.0, 1.0, -1.0])], np.zeros(4, dtype=int), 1)
+    got = location_mixture_snr(aligned, [True], side, 12, 0.5)
     expect = (2 / 12) * (9.0 / 0.5) + (10 / 12) * (0.0 / (1.0 + 0.5))
     assert got == pytest.approx(expect)
     # no sidelobe locations: only the mainlobe term remains
-    assert location_mixture_snr(aligned, [], 12, 0.5) == pytest.approx(
+    no_side = beam_moments(np.empty((0, 4)), np.zeros(4, dtype=int), 1)
+    assert location_mixture_snr(aligned, [True], no_side, 12, 0.5) == pytest.approx(
         (2 / 12) * (9.0 / 0.5)
     )
 
@@ -317,10 +319,10 @@ def test_joint_snr_e_matches_monte_carlo():
             ch, CFG, StrategyKind.JOINT_PATH_ANTENNA, 16, 5, thetas, 20_000,
             np.random.default_rng(seed + 200),
         )
-        aligned = streams.aligned[0]
         mc_vals.append(
             location_mixture_snr(
-                streams.eaves[0][aligned], list(streams.eaves[1:]), 12, 1 / rho_e
+                streams.moments.at(0), streams.table[0],
+                streams.moments.at(slice(1, len(thetas))), 12, 1 / rho_e,
             )
         )
     assert np.mean(cf_vals) == pytest.approx(np.mean(mc_vals), rel=0.10)
@@ -350,7 +352,7 @@ def test_joint_snr_r_matches_monte_carlo_in_ensemble():
             ch, CFG, StrategyKind.JOINT_PATH_ANTENNA, 16, 12, [THETA_R], 10_000,
             np.random.default_rng(700 + seed),
         )
-        mc_vals.append(receiver_snr(streams.recv, sigma_r))
+        mc_vals.append(receiver_snr(streams.recv_abs_sum, 10_000, sigma_r))
     assert np.mean(cf_vals) == pytest.approx(np.mean(mc_vals), rel=0.10)
 
 

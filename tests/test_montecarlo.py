@@ -10,9 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracle import joint_symbols, observed_gain, receiver_gain, sent_symbols
+from oracle import (
+    alignment_mixture_snr_of_samples,
+    beam_moments,
+    joint_symbols,
+    location_mixture_snr_of_samples,
+    observed_gain,
+    receiver_gain,
+    receiver_snr_of_samples,
+    sent_symbols,
+)
 
 from mmwsec import montecarlo
+from mmwsec.analysis import alignment_mixture_snr, location_mixture_snr, receiver_snr
 from mmwsec.array_geometry import ArrayConfig, array_response, cos_aligned
 from mmwsec.channel import sample_channel
 from mmwsec.montecarlo import (
@@ -162,12 +172,13 @@ def test_subset_draw_keeps_m_smallest_and_chunks_concatenate(n, K, data):
 
 
 def test_subset_chunks_keep_a_floor_of_symbols_per_beam():
-    # at n = 2048 the element budget alone would give the kernel 8-symbol chunks
-    assert montecarlo._chunk_symbols(2048, 2) == 2 * montecarlo.SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM
+    # at n = 2048 the element budget alone would give the kernel 8-symbol GEMMs;
+    # each GEMM takes one beam's beam-sorted rows, at least SUBSET_CHUNK_MIN_ROWS of them
+    assert montecarlo._chunk_symbols(2048) == montecarlo.SUBSET_CHUNK_MIN_ROWS == 32
 
 
 def test_subset_draw_keeps_its_element_budget_at_large_n(monkeypatch):
-    # the kernel's per-beam floor (128 symbols for 4 masked beams) does not size the draw:
+    # the kernel's per-GEMM row floor (32 rows) does not size the draw:
     # each `_random_subsets` call keeps to SUBSET_CHUNK_ELEMENTS uniforms, 8 symbols here
     calls = []
     spied = montecarlo._random_subsets
@@ -250,16 +261,19 @@ ORACLE_SHAPES = [
 ]
 
 
+def _oracle_angles(ch, l_s, angles):
+    pool = secondary_pool(ch, l_s)
+    never = [i for i in range(ch.n_paths) if i != ch.strongest_index and i not in pool]
+    if angles == "pool":
+        return [ch.aods_deg[pool[0]]]
+    return [THETA_R, ch.aods_deg[pool[0]], *ch.aods_deg[never[:1]], 55.0, 140.0]
+
+
 def _check_streams_against_oracle(n, L, m, l_s, angles):
     cfg = ArrayConfig(n)
     ch = sample_channel(L, THETA_R, np.random.default_rng(81))
     K = 60
-    pool = secondary_pool(ch, l_s)
-    never = [i for i in range(ch.n_paths) if i != ch.strongest_index and i not in pool]
-    if angles == "pool":
-        thetas = [ch.aods_deg[pool[0]]]
-    else:
-        thetas = [THETA_R, ch.aods_deg[pool[0]], *ch.aods_deg[never[:1]], 55.0, 140.0]
+    thetas = _oracle_angles(ch, l_s, angles)
     for kind in ALL:
         streams = simulate_streams(ch, cfg, kind, m, l_s, thetas, K, np.random.default_rng(82))
         w, paths = sent_symbols(ch, cfg, kind, m, l_s, K, 82)
@@ -287,12 +301,53 @@ def test_streams_match_reference_simulator_per_symbol():
 
 
 def test_streams_match_reference_simulator_across_chunks(monkeypatch):
-    # 7-symbol subset chunks at N = 16 (fewer at N = 64): the 60 symbols span
-    # eight full chunks and a partial one
+    # 7-row mask GEMMs at N = 16 (one row at N = 64): each beam's symbols span
+    # several full GEMMs and a partial one
     monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_ELEMENTS", 7 * 16)
-    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_MIN_SYMBOLS_PER_BEAM", 1)
+    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_MIN_ROWS", 1)
     for shape in ORACLE_SHAPES:
         _check_streams_against_oracle(*shape)
+
+
+# ORACLE_SHAPES at K = 60, and 3 symbols on joint's 7 masked beams, so most send
+# nothing: on seed 83 the first two, an interior one and the last one are empty
+MOMENT_SHAPES = [(*shape, 60, 82) for shape in ORACLE_SHAPES] + [(16, 8, 6, 8, "mixed", 3, 83)]
+
+
+@pytest.mark.parametrize("n, L, m, l_s, angles, K, seed", MOMENT_SHAPES)
+def test_kernel_moments_match_two_pass_statistics(n, L, m, l_s, angles, K, seed):
+    """Per beam and observer, the kernel's count, mean and M2 equal two-pass
+    numpy statistics of the same block's per-symbol gains, its receiver sum
+    equals the sum of |recv|, and each moment-based estimator equals the
+    sample formula it replaces, all within 1e-12."""
+    cfg = ArrayConfig(n)
+    ch = sample_channel(L, THETA_R, np.random.default_rng(81))
+    thetas = _oracle_angles(ch, l_s, angles)
+    T, noise = len(thetas), 1 / 10**1.5
+    for kind in ALL:
+        s = simulate_streams(ch, cfg, kind, m, l_s, thetas, K, np.random.default_rng(seed))
+        got, ref = s.moments, beam_moments(np.vstack([s.eaves, s.recv]), s.row, s.table.shape[1])
+        assert np.array_equal(got.count, ref.count) and got.count.sum() == K
+        sent = ref.count > 0
+        assert np.allclose(got.mean[sent], ref.mean[sent], rtol=0, atol=1e-12)
+        # M2 comes from raw sums of the random part y = g - G[s], so its rounding
+        # scales with each beam's sum of |y|^2 (and |g|^2, where y is 0)
+        g = np.vstack([s.eaves, s.recv]).T
+        power = np.zeros(got.m2.shape)
+        np.add.at(power, s.row, np.abs(g) ** 2 + np.abs(g - s.G[s.row]) ** 2)
+        assert np.all(np.abs(got.m2 - ref.m2) <= 1e-12 * power) and np.all(got.m2 >= 0)
+        assert s.recv_abs_sum == pytest.approx(np.abs(s.recv).sum(), rel=1e-12)
+        assert receiver_snr(s.recv_abs_sum, K, noise) == pytest.approx(
+            receiver_snr_of_samples(s.recv, noise), rel=1e-12
+        )
+        eve, aligned = got.at(0), s.table[0]
+        assert alignment_mixture_snr(eve, aligned, noise) == pytest.approx(
+            alignment_mixture_snr_of_samples(s.eaves[0], s.aligned[0], noise), rel=1e-12
+        )
+        assert location_mixture_snr(eve, aligned, got.at(slice(1, T)), L, noise) == pytest.approx(
+            location_mixture_snr_of_samples(s.eaves[0][s.aligned[0]], list(s.eaves[1:]), L, noise),
+            rel=1e-12,
+        )
 
 
 MEMO_SPECS = [
