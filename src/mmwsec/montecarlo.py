@@ -403,7 +403,8 @@ def _draw_weights(
     return row, (SubsetBlock(rng) if subsets is None else subsets).mask(K, n, m_main)
 
 
-# the strategies whose draw reads its generator when handed a subset block
+# the strategies whose draw reads its generator when handed a subset block;
+# the sweep builds a plan stream for these only
 PLAN_READERS = (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
 
 
@@ -421,8 +422,11 @@ def _operator(
     G (R, T + 1) with the receiver last; and, for the masked strategies,
     the mask GEMM operands D (R, n, 2(T + 1)), the real and imaginary parts
     of (observers * (B[0] - B[s]))^T interleaved so a product views as
-    complex (None otherwise).  Memoized for the last key of each strategy,
-    as read-only arrays: the sweep's only memo.
+    complex (None otherwise).  For the masked strategies each antenna's
+    term of D[s] is taken less its mean over the n antennas, and G[s] is
+    the gain of B[s] plus m_main times that mean: the beam's mean gain over
+    the m-subsets, with mask D[s] the zero-mean rest.  Memoized for the
+    last key of each strategy, as read-only arrays: the sweep's only memo.
     """
     B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
     n, L, T = cfg.n_antennas, ch.n_paths, len(angles)
@@ -436,8 +440,14 @@ def _operator(
     G = (obs @ B[:, :, None])[:, :, 0]
     D = None
     if kind in (StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA):
-        D = obs * (B[0] - B)[:, None, :]  # (R, T + 1, n)
-        D = np.stack([D.real, D.imag], axis=3).transpose(0, 2, 1, 3).reshape(len(B), n, -1)
+        D = np.empty((len(B), n, T + 1), dtype=complex)  # viewed as float: re, im interleaved
+        np.multiply(obs.transpose(0, 2, 1), (B[0] - B)[:, :, None], out=D)
+        # every mask holds m_main ones, so moving each antenna's term by the mean
+        # term moves the symbol's gain by m_main times it, the mean over the subsets
+        mean_term = D.mean(axis=1)
+        G = G + m_main * mean_term
+        D -= mean_term[:, None, :]
+        D = D.view(float)
     return _read_only(table, G, D)
 
 
@@ -479,9 +489,12 @@ def simulate_streams(
     ever held), and reduce the block with one `np.add.reduceat` for each
     beam's sum of y and one einsum per beam for its sum of |y|^2; then
     mean = G[s] + sum y / n_s and M2 = sum |y|^2 - |sum y|^2 / n_s, clipped
-    at 0.  The receiver's sum of |G[s, T] + y_T| is taken per GEMM.  The
-    operator is built once per (strategy, channel, angles) and reused
-    while the key repeats; only row and the mask are drawn per call.
+    at 0.  For these strategies G[s] is the beam's mean gain over the
+    subsets and y its zero-mean random part, so the raw sums lose no
+    digits to cancellation.  The receiver's sum of |G[s, T] + y_T| is taken
+    per GEMM.  The operator is built once per (strategy, channel, angles)
+    and reused while the key repeats; only row and the mask are drawn per
+    call.
     """
     thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
     table, G, D = _operator(ch, cfg, kind, m_main, l_s, tuple(thetas.tolist()))
@@ -582,12 +595,12 @@ def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n
     return True
 
 
-def _sweep(spec: SweepSpec, evaluate, plan_readers=PLAN_READERS) -> ResultTable:
+def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     """The sweep loop shared by `run_sweep` and `compare_analytic`.
 
     evaluate(point, ch, rng, subsets) returns one channel's linear
     (snr_r, snr_e); rng is the plan stream of that (strategy, axis value,
-    channel), built only for the strategies in plan_readers (None for the
+    channel), built only for the strategies in PLAN_READERS (None for the
     others, whose draw never reads it), and subsets the `SubsetBlock` of
     that (array size, ensemble index), which only the Monte Carlo
     evaluation reads.  The loop runs
@@ -647,7 +660,7 @@ def _sweep(spec: SweepSpec, evaluate, plan_readers=PLAN_READERS) -> ResultTable:
                     ch = channels[pt.n_paths] = sample_channel(
                         pt.n_paths, spec.theta_r_deg, _channel_rng(spec, pt.n_paths, ens)
                     )
-                rng = _plan_rng(spec, strat, axis_idx, ens) if strat in plan_readers else None
+                rng = _plan_rng(spec, strat, axis_idx, ens) if strat in PLAN_READERS else None
                 snr_r, snr_e = evaluate(pt, ch, rng, subsets)
                 acc[strat][:, axis_idx, ens] = secrecy_rate(SnrPair(snr_r, snr_e)), snr_r, snr_e
     rows = []
@@ -765,4 +778,4 @@ def compare_analytic(spec: SweepSpec) -> ResultTable:
         )
         return snr_r, snr_e
 
-    return _sweep(spec, evaluate, plan_readers=())
+    return _sweep(spec, evaluate)

@@ -26,6 +26,7 @@ from mmwsec.analysis import alignment_mixture_snr, location_mixture_snr, receive
 from mmwsec.array_geometry import ArrayConfig, array_response, cos_aligned
 from mmwsec.channel import sample_channel
 from mmwsec.montecarlo import (
+    PLAN_READERS,
     ResultTable,
     SubsetBlock,
     SweepSpec,
@@ -249,6 +250,19 @@ def test_joint_draws_uniform_secondary_paths_and_subsets():
     assert np.array_equal(mask, _random_subsets(replay, 10_000, 32, 16))
 
 
+def test_plan_readers_are_the_draws_that_read_their_stream():
+    """The sweep builds a plan stream only for PLAN_READERS: handed a subset
+    block, every other kind draws with no stream, and every reader reads it."""
+    block = SubsetBlock(np.random.default_rng(77))
+    for kind in StrategyKind:
+        if kind in PLAN_READERS:
+            rng = np.random.default_rng(78)
+            _draw_weights(kind, 5, 16, 6, 100, rng, block)
+            assert rng.bit_generator.state != np.random.default_rng(78).bit_generator.state
+        else:
+            _draw_weights(kind, 5, 16, 6, 100, None, block)
+
+
 # (N, L, m, l_s, angles): today's shape; every non-strongest path in the
 # pool; one antenna on the main beam; the full array on it (switched on the
 # whole array, joint with an empty secondary set); a single angle (T = 1)
@@ -309,9 +323,15 @@ def test_streams_match_reference_simulator_across_chunks(monkeypatch):
         _check_streams_against_oracle(*shape)
 
 
-# ORACLE_SHAPES at K = 60, and 3 symbols on joint's 7 masked beams, so most send
-# nothing: on seed 83 the first two, an interior one and the last one are empty
-MOMENT_SHAPES = [(*shape, 60, 82) for shape in ORACLE_SHAPES] + [(16, 8, 6, 8, "mixed", 3, 83)]
+# ORACLE_SHAPES at K = 60; 3 symbols on joint's 7 masked beams, so most send
+# nothing: on seed 83 the first two, an interior one and the last one are empty;
+# and all but one of 256 antennas on the main beam at K = 600, where each beam's
+# random part has a mean far above its spread (raw sums of it, uncentered, miss
+# M2 by about 1e-9)
+MOMENT_SHAPES = [(*shape, 60, 82) for shape in ORACLE_SHAPES] + [
+    (16, 8, 6, 8, "mixed", 3, 83),
+    (256, 8, 255, 4, "mixed", 600, 82),
+]
 
 
 @pytest.mark.parametrize("n, L, m, l_s, angles, K, seed", MOMENT_SHAPES)
@@ -330,12 +350,7 @@ def test_kernel_moments_match_two_pass_statistics(n, L, m, l_s, angles, K, seed)
         assert np.array_equal(got.count, ref.count) and got.count.sum() == K
         sent = ref.count > 0
         assert np.allclose(got.mean[sent], ref.mean[sent], rtol=0, atol=1e-12)
-        # M2 comes from raw sums of the random part y = g - G[s], so its rounding
-        # scales with each beam's sum of |y|^2 (and |g|^2, where y is 0)
-        g = np.vstack([s.eaves, s.recv]).T
-        power = np.zeros(got.m2.shape)
-        np.add.at(power, s.row, np.abs(g) ** 2 + np.abs(g - s.G[s.row]) ** 2)
-        assert np.all(np.abs(got.m2 - ref.m2) <= 1e-12 * power) and np.all(got.m2 >= 0)
+        assert np.allclose(got.m2, ref.m2, rtol=0, atol=1e-12) and np.all(got.m2 >= 0)
         assert s.recv_abs_sum == pytest.approx(np.abs(s.recv).sum(), rel=1e-12)
         assert receiver_snr(s.recv_abs_sum, K, noise) == pytest.approx(
             receiver_snr_of_samples(s.recv, noise), rel=1e-12
