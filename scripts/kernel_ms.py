@@ -7,9 +7,7 @@ paths, m = N/2 antennas on the main beam, observed at 40 and 55 degrees
 estimator calls the sweep makes on it: the receiver SNR, and the
 alignment mixture at 40 degrees (switched) or the location mixture with
 55 degrees as its sidelobe angle (joint).  The block and the estimates
-are timed as one, so a tree whose kernel reduces what its estimators
-used to compares like for like; both the per-symbol estimator API and
-the per-beam moment API are supported.  Every call draws a fresh
+are timed as one, as the sweep runs them.  Every call draws a fresh
 channel, so no call reuses an operator built by the one before.  Prints
 one JSON object with the median milliseconds and the median minor page
 faults (`ru_minflt` of this process) over REPS calls per configuration
@@ -51,16 +49,10 @@ def main(argv=None) -> int:
 
     def estimate(streams, joint):
         """The sweep's receiver and eavesdropper estimates of one block."""
-        if hasattr(streams, "moments"):  # per-beam moments
-            eve, aligned, side = streams.moments.at(0), streams.table[0], streams.moments.at([1])
-            analysis.receiver_snr(streams.recv_abs_sum, K, 1.0)
-            if joint:
-                return analysis.location_mixture_snr(eve, aligned, side, L, NOISE)
-            return analysis.alignment_mixture_snr(eve, aligned, NOISE)
-        analysis.receiver_snr(streams.recv, 1.0)  # per-symbol gains
-        eve, aligned = streams.eaves[0], streams.aligned[0]
+        eve, aligned, side = streams.moments.at(0), streams.table[0], streams.moments.at([1])
+        analysis.receiver_snr(streams.recv_abs_sum, K, 1.0)
         if joint:
-            return analysis.location_mixture_snr(eve[aligned], [streams.eaves[1]], L, NOISE)
+            return analysis.location_mixture_snr(eve, aligned, side, L, NOISE)
         return analysis.alignment_mixture_snr(eve, aligned, NOISE)
 
     seeds = itertools.count()

@@ -34,19 +34,11 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0 else -math.inf
 
 
-@dataclass(frozen=True)
-class SnrPair:
-    snr_r: float
-    snr_e: float
-
-    def __post_init__(self):
-        if self.snr_r < 0 or self.snr_e < 0:
-            raise ValueError("SNRs must be nonnegative")
-
-
-def secrecy_rate(snr: SnrPair) -> float:
-    """max(0, log2(1 + SNR_R) - log2(1 + SNR_E))."""
-    return max(0.0, math.log2(1.0 + snr.snr_r) - math.log2(1.0 + snr.snr_e))
+def secrecy_rate(snr_r: float, snr_e: float) -> float:
+    """max(0, log2(1 + SNR_R) - log2(1 + SNR_E)) of two nonnegative linear SNRs."""
+    if snr_r < 0 or snr_e < 0:
+        raise ValueError("SNRs must be nonnegative")
+    return max(0.0, math.log2(1.0 + snr_r) - math.log2(1.0 + snr_e))
 
 
 def snr_r_random_path(n_antennas: int, n_paths: int, rho_r_linear: float) -> float:

@@ -136,38 +136,40 @@ _FIELDS = (
 )
 
 
-def _apply(spec: SweepSpec, values: dict, source: str) -> SweepSpec:
-    """Set every table field whose key has a value in `values`; a field the
-    run sweeps (its axis, or a preset's curves) would be overridden, so it is
-    an error."""
+def _apply(specs: dict[str, SweepSpec], values: dict, source: str) -> dict[str, SweepSpec]:
+    """Set every table field whose key has a value in `values` on every run
+    spec; a field the run sweeps (its axis, or a field its specs differ in)
+    would be overridden, so it is an error."""
     updates = {}
+    axis = next(iter(specs.values())).axis
     for key, field, conv, _ in _FIELDS:
         if values.get(key) is not None:
-            if field in (spec.axis, spec.curve_param):
+            curve = [getattr(spec, field) for spec in specs.values()]
+            if field == axis or len(set(curve)) > 1:
                 swept = (
                     f"along its {AXIS_NAMES[field]} axis"
-                    if field == spec.axis
-                    else "over its curves " + ",".join(f"{v:g}" for v in spec.curve_values)
+                    if field == axis
+                    else "over its curves " + ",".join(f"{v:g}" for v in curve)
                 )
                 raise CliError(f"{source} {key} sets {field}, which this run sweeps {swept}")
             try:
                 updates[field] = conv(values[key])
             except ValueError as e:
                 raise CliError(f"{source} {key}: {e}") from e
-    return replace(spec, **updates) if updates else spec
+    return {label: replace(spec, **updates) for label, spec in specs.items()}
 
 
-def apply_config_file(spec: SweepSpec, path: str) -> SweepSpec:
+def apply_config_file(specs: dict[str, SweepSpec], path: str) -> dict[str, SweepSpec]:
     values = load_config_file(path)
     keys = sorted(key for key, *_ in _FIELDS)
     for key in values:
         if key not in keys:
             raise CliError(f"unknown config key {key!r}; valid keys: {keys}")
-    return _apply(spec, values, "config key")
+    return _apply(specs, values, "config key")
 
 
-def apply_flags(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
-    return _apply(spec, vars(args), "flag")
+def apply_flags(specs: dict[str, SweepSpec], args: argparse.Namespace) -> dict[str, SweepSpec]:
+    return _apply(specs, vars(args), "flag")
 
 
 def validate_spec(spec: SweepSpec):
@@ -243,23 +245,11 @@ def _run_one(spec: SweepSpec, args: argparse.Namespace, output: str):
         write_outputs(atable, aspec, str(apath), args.verbose)
 
 
-def _curve_outputs(spec: SweepSpec, output: str):
-    """Expand a multi-curve preset into (spec, path) pairs, one per curve value."""
-    if not spec.curve_param:
-        return [(spec, output)]
-    out = Path(output)
-    runs = []
-    for v in spec.curve_values:
-        sub = replace(spec, **{spec.curve_param: int(v)}, curve_param=None, curve_values=())
-        tag = {"n_paths": "L", "n_antennas": "N"}.get(spec.curve_param, spec.curve_param)
-        path = out.with_name(f"{out.stem}_{tag}{int(v)}{out.suffix}")
-        runs.append((sub, str(path)))
-    return runs
-
-
 def run(args: argparse.Namespace) -> int:
+    """Run every curve of the figure or sweep; curve label "L4" writes
+    `<output stem>_L4<suffix>`, the label "" of a one-curve run `output`."""
     if args.command == "figure":
-        spec = figure_preset(args.fig_id)
+        specs = figure_preset(args.fig_id)
     else:
         axis = {name: field for field, name in AXIS_NAMES.items()}[args.axis]
         if args.values is not None:
@@ -271,24 +261,24 @@ def run(args: argparse.Namespace) -> int:
                 raise CliError("--values must contain at least one number")
         else:
             values = DEFAULT_AXIS_VALUES[axis]
-        spec = SweepSpec(
-            strategies=tuple(STRATEGY_NAMES.values()),
-            axis=axis,
-            axis_values=values,
-        )
+        specs = {
+            "": SweepSpec(strategies=tuple(STRATEGY_NAMES.values()), axis=axis, axis_values=values)
+        }
     if args.config:
-        spec = apply_config_file(spec, args.config)
-    spec = apply_flags(spec, args)
-    validate_spec(spec)
-    if spec.ensemble == 1:
+        specs = apply_config_file(specs, args.config)
+    specs = apply_flags(specs, args)
+    for spec in specs.values():
+        validate_spec(spec)
+    if any(spec.ensemble == 1 for spec in specs.values()):
         print(
             "warning: ensemble=1: the stderr column reads 0 because one channel gives "
             "no spread estimate",
             file=sys.stderr,
         )
-    for sub_spec, path in _curve_outputs(spec, args.output):
-        validate_spec(sub_spec)
-        _run_one(sub_spec, args, path)
+    out = Path(args.output)
+    for label, spec in specs.items():
+        path = str(out.with_name(f"{out.stem}_{label}{out.suffix}")) if label else args.output
+        _run_one(spec, args, path)
     return 0
 
 

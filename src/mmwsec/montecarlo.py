@@ -1,9 +1,12 @@
 """Experiment harness: figure presets, sweeps, ensemble averaging, tables.
 
-Each sweep point simulates a block of symbols per (strategy, channel
-realization) with vectorized kernels, estimates both observers' SNRs and
-averages the clamped secrecy rate over the channel ensemble.  Random
-streams are keyed so results are reproducible and schedule-independent:
+A sweep (`SweepSpec`) is one curve: one table of (strategy, axis value)
+rows.  A figure preset is a family of curves, one run spec per curve
+(`figure_preset`).  Each sweep point simulates a block of symbols per
+(strategy, channel realization) with vectorized kernels, estimates both
+observers' SNRs and averages the clamped secrecy rate over the channel
+ensemble.  Random streams are keyed so results are reproducible and
+schedule-independent:
 
 - a channel by (base seed, role, path count, ensemble index), so a sweep
   draws each one once and shares it across strategies and axis points;
@@ -47,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +68,6 @@ from .analysis import (
     snr_e_random_path,
     snr_r_joint,
     snr_r_random_path,
-    SnrPair,
 )
 from .array_geometry import ArrayConfig, array_response, cos_aligned, steering_phases
 from .channel import ChannelRealization, channel_stats, sample_channel
@@ -103,8 +105,6 @@ class SweepSpec:
     symbols_per_point: int = 10_000
     ensemble: int = 200
     base_seed: int = 0
-    curve_param: str | None = None  # metadata for multi-curve figures
-    curve_values: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.strategies:
@@ -187,50 +187,29 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def figure_preset(fig_id: int) -> SweepSpec:
-    """Preset sweeps matching the benchmark figure setups.
+def figure_preset(fig_id: int) -> dict[str, SweepSpec]:
+    """Preset sweeps matching the benchmark figure setups: one run spec per
+    curve, keyed by the curve's label ("" for a single-curve figure).
 
-    1: secrecy vs eavesdropper angle, N=32, path-count curves {4, 8, 12}.
-    2: secrecy vs eavesdropper angle, L=12, antenna-count curves {16, 32, 64}.
+    1: secrecy vs eavesdropper angle, N=32, path-count curves L4, L8, L12.
+    2: secrecy vs eavesdropper angle, L=12, antenna-count curves N16, N32, N64.
     3: secrecy vs rho_E at theta_E = 40 deg (on the main path), N=32, L=12.
     4: secrecy vs rho_E at theta_E = 55 deg (off the main path), N=32, L=12.
     """
-    all_strats = tuple(StrategyKind)
-    theta_axis = DEFAULT_AXIS_VALUES["theta_e_deg"]
-    rho_axis = DEFAULT_AXIS_VALUES["rho_e_db"]
+    theta = SweepSpec(
+        strategies=tuple(StrategyKind),
+        axis="theta_e_deg",
+        axis_values=DEFAULT_AXIS_VALUES["theta_e_deg"],
+    )
+    rho = replace(theta, axis="rho_e_db", axis_values=DEFAULT_AXIS_VALUES["rho_e_db"])
     if fig_id == 1:
-        return SweepSpec(
-            strategies=all_strats,
-            axis="theta_e_deg",
-            axis_values=theta_axis,
-            n_antennas=32,
-            n_paths=12,
-            curve_param="n_paths",
-            curve_values=(4.0, 8.0, 12.0),
-        )
+        return {f"L{L}": replace(theta, n_paths=L) for L in (4, 8, 12)}
     if fig_id == 2:
-        return SweepSpec(
-            strategies=all_strats,
-            axis="theta_e_deg",
-            axis_values=theta_axis,
-            n_paths=12,
-            curve_param="n_antennas",
-            curve_values=(16.0, 32.0, 64.0),
-        )
+        return {f"N{n}": replace(theta, n_antennas=n) for n in (16, 32, 64)}
     if fig_id == 3:
-        return SweepSpec(
-            strategies=all_strats,
-            axis="rho_e_db",
-            axis_values=rho_axis,
-            theta_e_deg=40.0,
-        )
+        return {"": replace(rho, theta_e_deg=40.0)}
     if fig_id == 4:
-        return SweepSpec(
-            strategies=all_strats,
-            axis="rho_e_db",
-            axis_values=rho_axis,
-            theta_e_deg=55.0,
-        )
+        return {"": replace(rho, theta_e_deg=55.0)}
     raise ValueError(f"unknown figure id {fig_id}; expected 1-4")
 
 
@@ -401,11 +380,6 @@ def _draw_weights(
     else:
         row = 1 + rng.integers(R - 1, size=K)  # every pool index before any subset
     return row, (SubsetBlock(rng) if subsets is None else subsets).mask(K, n, m_main)
-
-
-# the strategies whose draw reads its generator when handed a subset block;
-# the sweep builds a plan stream for these only
-PLAN_READERS = (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
 
 
 @functools.lru_cache(maxsize=len(StrategyKind))
@@ -600,19 +574,18 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
 
     evaluate(point, ch, rng, subsets) returns one channel's linear
     (snr_r, snr_e); rng is the plan stream of that (strategy, axis value,
-    channel), built only for the strategies in PLAN_READERS (None for the
-    others, whose draw never reads it), and subsets the `SubsetBlock` of
-    that (array size, ensemble index), which only the Monte Carlo
-    evaluation reads.  The loop runs
-    ensemble index, then axis point, then strategy: every strategy and
-    axis point with one array size N shares one subset block per ensemble
-    index, keyed by the first axis index with that N (so only the antennas
-    axis has more than one), whose whole mask the first masked strategy to
-    read it draws, and dropped at the next array size or ensemble index,
-    so one block is alive at a time; on the rho_E axis every point also
-    reuses each strategy's memoized observation operator (`_operator`,
-    the one memo), which is cleared here, so nothing carries over from an
-    earlier sweep.  Rates accumulate per strategy.
+    channel), which only the random-path and joint draws read, and subsets
+    the `SubsetBlock` of that (array size, ensemble index), which only the
+    Monte Carlo evaluation reads.  The loop runs ensemble index, then axis
+    point, then strategy: every strategy and axis point with one array
+    size N shares one subset block per ensemble index, keyed by the first
+    axis index with that N (so only the antennas axis has more than one),
+    whose whole mask the first masked strategy to read it draws, and
+    dropped at the next array size or ensemble index, so one block is
+    alive at a time; on the rho_E axis every point also reuses each
+    strategy's memoized observation operator (`_operator`, the one memo),
+    which is cleared here, so nothing carries over from an earlier sweep.
+    Rates accumulate per strategy.
     """
     _operator.cache_clear()
     rho_r = db_to_linear(spec.rho_r_db)
@@ -660,9 +633,8 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
                     ch = channels[pt.n_paths] = sample_channel(
                         pt.n_paths, spec.theta_r_deg, _channel_rng(spec, pt.n_paths, ens)
                     )
-                rng = _plan_rng(spec, strat, axis_idx, ens) if strat in PLAN_READERS else None
-                snr_r, snr_e = evaluate(pt, ch, rng, subsets)
-                acc[strat][:, axis_idx, ens] = secrecy_rate(SnrPair(snr_r, snr_e)), snr_r, snr_e
+                snr_r, snr_e = evaluate(pt, ch, _plan_rng(spec, strat, axis_idx, ens), subsets)
+                acc[strat][:, axis_idx, ens] = secrecy_rate(snr_r, snr_e), snr_r, snr_e
     rows = []
     for strat, pts in points.items():
         rates, snr_r_acc, snr_e_acc = acc[strat]

@@ -12,7 +12,6 @@ from oracle import beam_moments, joint_symbols, observed_gain, receiver_gain
 
 from mmwsec.analysis import (
     JointBetaMoments,
-    SnrPair,
     alignment_mixture_snr,
     b_moments,
     beta_e_hat_term,
@@ -48,18 +47,18 @@ def test_db_round_trip():
 
 
 def test_secrecy_rate_examples():
-    assert secrecy_rate(SnrPair(3.0, 1.0)) == pytest.approx(1.0)
-    assert secrecy_rate(SnrPair(1.0, 3.0)) == 0.0
-    assert secrecy_rate(SnrPair(5.0, 5.0)) == 0.0
+    assert secrecy_rate(3.0, 1.0) == pytest.approx(1.0)
+    assert secrecy_rate(1.0, 3.0) == 0.0
+    assert secrecy_rate(5.0, 5.0) == 0.0
     with pytest.raises(ValueError):
-        SnrPair(-0.1, 1.0)
+        secrecy_rate(-0.1, 1.0)
 
 
 def test_secrecy_rate_monotonicity():
     grid = np.linspace(0.0, 50.0, 11)
-    rates_r = [secrecy_rate(SnrPair(r, 5.0)) for r in grid]
+    rates_r = [secrecy_rate(r, 5.0) for r in grid]
     assert all(b >= a for a, b in zip(rates_r, rates_r[1:]))
-    rates_e = [secrecy_rate(SnrPair(5.0, e)) for e in grid]
+    rates_e = [secrecy_rate(5.0, e) for e in grid]
     assert all(b <= a for a, b in zip(rates_e, rates_e[1:]))
 
 

@@ -245,19 +245,29 @@ def test_figure_three_covers_all_strategies(tmp_path):
     assert rho_values == {"0", "2.5", "5", "7.5", "10", "12.5", "15", "17.5", "20"}
 
 
-def test_figure_one_emits_one_file_per_curve(tmp_path):
-    out = tmp_path / "fig1.csv"
+@pytest.mark.parametrize(
+    "fig, field, curves",
+    [("1", "n_paths", {"L4": 4, "L8": 8, "L12": 12}),
+     ("2", "n_antennas", {"N16": 16, "N32": 32, "N64": 64})],
+    ids=["1", "2"],
+)
+def test_figure_emits_one_file_per_curve(tmp_path, fig, field, curves):
+    out = tmp_path / "fig.csv"
     code = run_cli(
         [
-            "figure", "1", *FAST,
+            "figure", fig, *FAST,
             "--strategies", "random-path",
             "-o", str(out),
         ]
     )
     assert code == 0
-    for L in (4, 8, 12):
-        assert (tmp_path / f"fig1_L{L}.csv").exists()
-        assert (tmp_path / f"fig1_L{L}.csv.meta").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for label in curves for name in (f"fig_{label}.csv", f"fig_{label}.csv.meta")
+    )
+    for label, value in curves.items():
+        # each curve's file holds its own curve's run, not a neighbour's
+        meta = (tmp_path / f"fig_{label}.csv.meta").read_text().splitlines()
+        assert dict(line.split("=", 1) for line in meta)[field] == str(value)
 
 
 def test_flags_override_config_file(tmp_path):

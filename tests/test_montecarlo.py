@@ -26,7 +26,6 @@ from mmwsec.analysis import alignment_mixture_snr, location_mixture_snr, receive
 from mmwsec.array_geometry import ArrayConfig, array_response, cos_aligned
 from mmwsec.channel import sample_channel
 from mmwsec.montecarlo import (
-    PLAN_READERS,
     ResultTable,
     SubsetBlock,
     SweepSpec,
@@ -96,20 +95,23 @@ def test_axis_values_must_be_distinct(axis, name, values):
 
 def test_figure_presets_match_captions():
     f1 = figure_preset(1)
-    assert f1.n_antennas == 32
-    assert f1.rho_r_db == 10.0
-    assert f1.rho_e_db == 15.0
-    assert f1.axis == "theta_e_deg"
-    assert f1.curve_param == "n_paths"
+    assert list(f1) == ["L4", "L8", "L12"]
+    assert [spec.n_paths for spec in f1.values()] == [4, 8, 12]
+    for spec in f1.values():
+        assert spec.n_antennas == 32
+        assert spec.rho_r_db == 10.0
+        assert spec.rho_e_db == 15.0
+        assert spec.axis == "theta_e_deg"
     f2 = figure_preset(2)
-    assert f2.n_paths == 12
-    assert f2.curve_param == "n_antennas"
-    f3 = figure_preset(3)
-    assert f3.theta_e_deg == 40.0
-    assert f3.n_paths == 12
-    assert f3.axis == "rho_e_db"
-    f4 = figure_preset(4)
-    assert f4.theta_e_deg == 55.0
+    assert list(f2) == ["N16", "N32", "N64"]
+    assert [spec.n_antennas for spec in f2.values()] == [16, 32, 64]
+    assert all(spec.n_paths == 12 for spec in f2.values())
+    f3, f4 = figure_preset(3), figure_preset(4)
+    assert list(f3) == list(f4) == [""]
+    assert f3[""].theta_e_deg == 40.0
+    assert f3[""].n_paths == 12
+    assert f3[""].axis == "rho_e_db"
+    assert f4[""].theta_e_deg == 55.0
     with pytest.raises(ValueError):
         figure_preset(5)
 
@@ -248,19 +250,6 @@ def test_joint_draws_uniform_secondary_paths_and_subsets():
     replay = np.random.default_rng(76)
     assert np.array_equal(row, 1 + replay.integers(cand.size - 1, size=10_000))
     assert np.array_equal(mask, _random_subsets(replay, 10_000, 32, 16))
-
-
-def test_plan_readers_are_the_draws_that_read_their_stream():
-    """The sweep builds a plan stream only for PLAN_READERS: handed a subset
-    block, every other kind draws with no stream, and every reader reads it."""
-    block = SubsetBlock(np.random.default_rng(77))
-    for kind in StrategyKind:
-        if kind in PLAN_READERS:
-            rng = np.random.default_rng(78)
-            _draw_weights(kind, 5, 16, 6, 100, rng, block)
-            assert rng.bit_generator.state != np.random.default_rng(78).bit_generator.state
-        else:
-            _draw_weights(kind, 5, 16, 6, 100, None, block)
 
 
 # (N, L, m, l_s, angles): today's shape; every non-strongest path in the
