@@ -233,12 +233,9 @@ def _run_one(spec: SweepSpec, args: argparse.Namespace, output: str):
     table = run_sweep(spec)
     write_outputs(table, spec, output, args.verbose)
     if args.analytic:
-        analytic_strats = tuple(s for s in spec.strategies if s in ANALYTIC_STRATEGIES)
-        if not analytic_strats:
-            raise CliError(
-                "--analytic requires random-path or joint among the strategies"
-            )
-        aspec = replace(spec, strategies=analytic_strats)
+        aspec = replace(
+            spec, strategies=tuple(s for s in spec.strategies if s in ANALYTIC_STRATEGIES)
+        )
         atable = compare_analytic(aspec)
         stem = Path(output)
         apath = stem.with_name(stem.stem + "_analytic" + stem.suffix)
@@ -269,6 +266,8 @@ def run(args: argparse.Namespace) -> int:
     specs = apply_flags(specs, args)
     for spec in specs.values():
         validate_spec(spec)
+        if args.analytic and not set(spec.strategies) & set(ANALYTIC_STRATEGIES):
+            raise CliError("--analytic requires random-path or joint among the strategies")
     if any(spec.ensemble == 1 for spec in specs.values()):
         print(
             "warning: ensemble=1: the stderr column reads 0 because one channel gives "

@@ -88,6 +88,15 @@ AXIS_NAMES = {
 ANALYTIC_STRATEGIES = (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
 
 
+def _ratio_invertible(x_db: float) -> bool:
+    """Whether 10^(x_db/10) and its reciprocal are both positive finite floats."""
+    try:
+        linear = db_to_linear(x_db)
+    except OverflowError:
+        return False
+    return linear > 0 and math.isfinite(1 / linear)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     strategies: tuple[StrategyKind, ...]
@@ -134,6 +143,13 @@ class SweepSpec:
             bad = ", ".join(f"{v:g}" for v in values if not math.isfinite(v))
             if bad:
                 raise ValueError(f"{name} must be finite, got {bad}")
+            # the sweep takes 10^(dB/10) and divides by it, so neither may overflow or reach 0
+            bad = ", ".join(f"{v:g}" for v in values if not _ratio_invertible(v))
+            if bad:
+                raise ValueError(
+                    f"{name} must give a linear ratio whose value and reciprocal are positive "
+                    f"finite floats, got {bad}"
+                )
         # the sweep builds an array or channel of int(value) antennas or paths
         if self.axis in ("n_antennas", "n_paths"):
             bad = ", ".join(f"{v:g}" for v in self.axis_values if not float(v).is_integer())
@@ -286,40 +302,11 @@ class SymbolStreams:
     angles and at the receiver (column T); recv_abs_sum is the receiver's
     sum of |gain| over the block; table (T, R) marks the beams that steer a
     path sharing angle t's cosine.  The sweep's estimators read only these.
-
-    recv (K,), eaves (T, K) and aligned (T, K) give the same block per
-    symbol, in symbol order, for the tests: each symbol's gain is its
-    beam's G[row_k] plus, for the masked strategies, the random part y of
-    its row in the beam-sorted block (`_block`, row i holding symbol
-    `_order[i]`; `_order` None when the block is in symbol order).
     """
 
     moments: BeamMoments
     recv_abs_sum: float
     table: np.ndarray
-    row: np.ndarray
-    G: np.ndarray
-    _block: np.ndarray | None = None
-    _order: np.ndarray | None = None
-
-    @functools.cached_property
-    def _gains(self) -> np.ndarray:
-        g = self.G[self.row]
-        if self._block is not None:
-            g[slice(None) if self._order is None else self._order] += self._block
-        return g
-
-    @property
-    def recv(self) -> np.ndarray:
-        return self._gains[:, -1]
-
-    @property
-    def eaves(self) -> np.ndarray:
-        return self._gains[:, :-1].T
-
-    @property
-    def aligned(self) -> np.ndarray:
-        return self.table[:, self.row]
 
 
 def _read_only(*arrays):
@@ -477,7 +464,7 @@ def simulate_streams(
     count = np.bincount(row, minlength=R)
     if mask is None:  # every symbol of beam s has the gain G[s]
         moments = BeamMoments(count, G, np.zeros(G.shape))
-        return SymbolStreams(moments, float(count @ np.abs(G[:, -1])), table, row, G)
+        return SymbolStreams(moments, float(count @ np.abs(G[:, -1])), table)
     # beam-sorted: beam s's symbols are the rows [start[s], end[s]) of the block
     order = None
     if count.max() < K:  # more than one beam: numpy radix-sorts a small-integer copy
@@ -505,7 +492,7 @@ def simulate_streams(
     mean, m2 = G.copy(), np.zeros(G.shape)
     mean[sent] += sums / n_sent
     m2[sent] = np.maximum(squares - np.abs(sums) ** 2 / n_sent, 0.0)
-    return SymbolStreams(BeamMoments(count, mean, m2), recv_abs_sum, table, row, G, y, order)
+    return SymbolStreams(BeamMoments(count, mean, m2), recv_abs_sum, table)
 
 
 # ---------------------------------------------------------------------------

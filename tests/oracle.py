@@ -1,11 +1,13 @@
 """Per-symbol numpy oracle for the observation law sqrt(N/L) a(theta)^H f.
 
 `montecarlo.simulate_streams` evaluates the law for a whole symbol block
-chunk by chunk on factored weight rows.  These helpers expand the
-kernel's own beams and draw (`montecarlo._beams`,
+on factored weight rows and returns only per-beam moments.  These helpers
+expand the kernel's own beams and draw (`montecarlo._beams`,
 `montecarlo._draw_weights`) into dense per-symbol weights and evaluate the
-law one weight vector at a time with `np.vdot`, so the tests can hold the
-kernel to it symbol by symbol.
+law one weight vector at a time with `np.vdot`, and rebuild a block's
+per-symbol gains from the kernel's operator and draw (`kernel_gains`), so
+the tests can hold the operator to the law symbol by symbol and the
+kernel's moments to statistics of the rebuilt block.
 
 It also keeps the per-symbol forms of the sweep's SNR estimators, which
 the kernel's per-beam moments replace (`analysis.BeamMoments`), and
@@ -14,12 +16,13 @@ the moment-based estimators to the sample formulas.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from mmwsec.analysis import BeamMoments
 from mmwsec.array_geometry import array_response
-from mmwsec.montecarlo import _beams, _draw_weights
+from mmwsec.montecarlo import _beams, _draw_weights, _operator
 from mmwsec.strategies import StrategyKind
 
 
@@ -62,6 +65,31 @@ def joint_symbols(ch, cfg, m, l_s, K, seed):
     """The joint kernel's symbols on `seed`: weights, main-beam masks (K, N)
     and (main, secondary) paths."""
     return _expand(ch, cfg, StrategyKind.JOINT_PATH_ANTENNA, m, l_s, K, seed)
+
+
+class Gains(NamedTuple):
+    """A block's gains per symbol, in symbol order."""
+
+    recv: np.ndarray  # (K,) at the receiver
+    eaves: np.ndarray  # (T, K) at each eavesdropper angle
+    aligned: np.ndarray  # (T, K) whether the symbol steers a path sharing the angle's cosine
+    row: np.ndarray  # (K,) the beam each symbol sent
+
+
+def kernel_gains(ch, cfg, kind, m, l_s, thetas, K, seed):
+    """The per-symbol gains of the block `simulate_streams` reduces on `seed`.
+
+    Built from the kernel's halves without its sort, chunked GEMMs or
+    reductions: `_operator` gives (table, G, D), `_draw_weights` on the
+    same seed gives (row, mask), and symbol k's gain is G[row_k] plus, for
+    the masked strategies, mask_k D[row_k] viewed as complex.
+    """
+    table, G, D = _operator(ch, cfg, kind, m, l_s, tuple(np.asarray(thetas, float).tolist()))
+    row, mask = _draw_weights(kind, len(G), cfg.n_antennas, m, K, np.random.default_rng(seed))
+    gains = G[row]
+    if mask is not None:
+        gains = gains + np.einsum("kn,knj->kj", mask.astype(float), D[row]).view(complex)
+    return Gains(gains[:, -1], gains[:, :-1].T, table[:, row], row)
 
 
 def beam_moments(gains, beam, R):

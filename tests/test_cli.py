@@ -103,18 +103,23 @@ def test_observation_angles_checked_on_every_axis(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "4000", "-4000"])
 def test_link_qualities_must_be_finite(tmp_path, capsys, bad):
     # a NaN rho used to write ok rows holding -inf; an infinite one a 307.79 dB
-    # SNR, or a division by zero
+    # SNR, or a division by zero; 4000 dB overflowed 10^(dB/10) and -4000 dB
+    # rounded it to 0, each ending in a traceback
     out = tmp_path / "x.csv"
     args = ["--strategies", "conventional,random-path", *FAST, "-o", str(out)]
+    if bad in ("nan", "inf"):
+        rule = "must be finite"
+    else:
+        rule = "must give a linear ratio whose value and reciprocal are positive finite floats"
     assert run_cli(["sweep", "--axis", "rho-e", "--values", f"10,{bad}", *args]) == 2
-    assert f"rho-e must be finite, got {bad}" in capsys.readouterr().err
+    assert f"rho-e {rule}, got {bad}" in capsys.readouterr().err
     for flag in ("--rho-r-db", "--rho-e-db"):
         assert run_cli(["sweep", "--axis", "theta-e", "--values", "40", flag, bad, *args]) == 2
-        assert f"{flag[2:]} must be finite, got {bad}" in capsys.readouterr().err
-    assert not out.exists()
+        assert f"{flag[2:]} {rule}, got {bad}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("axis", ["antennas", "paths"])
@@ -321,14 +326,16 @@ def test_analytic_overlay_output(tmp_path):
 
 
 def test_analytic_requires_supported_strategy(tmp_path, capsys):
-    code = run_cli(
-        [
-            "sweep", "--axis", "rho-e", "--values", "15",
-            "--strategies", "conventional", "--analytic", *FAST,
-            "-o", str(tmp_path / "x.csv"),
-        ]
-    )
-    assert code != 0
+    # the check used to come after the Monte Carlo sweep had written its CSV and .meta
+    for command in (["sweep", "--axis", "rho-e", "--values", "15"], ["figure", "3"]):
+        code = run_cli(
+            [*command, "--strategies", "conventional", "--analytic", *FAST,
+             "-o", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--analytic requires random-path or joint among the strategies" in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_grating_lobe_spacing_is_rejected(tmp_path, capsys):

@@ -14,6 +14,7 @@ from oracle import (
     alignment_mixture_snr_of_samples,
     beam_moments,
     joint_symbols,
+    kernel_gains,
     location_mixture_snr_of_samples,
     observed_gain,
     receiver_gain,
@@ -215,7 +216,9 @@ def test_receiver_reference_gain_convention():
 
 def test_streams_match_reference_simulator_values():
     """The vectorized kernels and the per-symbol oracle give the same gain
-    alphabet for the static beam and the path-hopping beam."""
+    alphabet for the static beam and the path-hopping beam: every symbol on
+    a sent beam has that beam's gain (M2 0), and the beams' gains are the
+    oracle's."""
     cfg = ArrayConfig(32)
     ch = sample_channel(12, THETA_R, np.random.default_rng(72))
     for kind, paths in ((StrategyKind.CONVENTIONAL, [ch.strongest_index]),
@@ -226,7 +229,10 @@ def test_streams_match_reference_simulator_values():
         beams = [array_response(cfg, ch.aods_deg[l]) for l in paths]
         ref_r = [receiver_gain(ch, cfg, w, [l]) for w, l in zip(beams, paths)]
         ref_e = [observed_gain(cfg, 12, 55.0, w) for w in beams]
-        for got, ref in ((streams.recv, ref_r), (streams.eaves[0], ref_e)):
+        sent = streams.moments.count > 0
+        assert np.all(streams.moments.m2 == 0)
+        levels = streams.moments.mean[sent]
+        for got, ref in ((levels[:, -1], ref_r), (levels[:, 0], ref_e)):
             assert np.allclose(
                 np.unique(np.round(got, 9)), np.unique(np.round(ref, 9)), atol=1e-8
             )
@@ -278,7 +284,7 @@ def _check_streams_against_oracle(n, L, m, l_s, angles):
     K = 60
     thetas = _oracle_angles(ch, l_s, angles)
     for kind in ALL:
-        streams = simulate_streams(ch, cfg, kind, m, l_s, thetas, K, np.random.default_rng(82))
+        streams = kernel_gains(ch, cfg, kind, m, l_s, thetas, K, 82)
         w, paths = sent_symbols(ch, cfg, kind, m, l_s, K, 82)
         for k in range(K):
             assert streams.recv[k] == pytest.approx(
@@ -295,19 +301,10 @@ def _check_streams_against_oracle(n, L, m, l_s, angles):
 
 
 def test_streams_match_reference_simulator_per_symbol():
-    """Every symbol of every kernel equals the oracle's gains for the
-    weights the kernel sent, at the strongest path, a secondary candidate,
-    a never-steered path angle and two off-path angles, on every shape of
-    ORACLE_SHAPES."""
-    for shape in ORACLE_SHAPES:
-        _check_streams_against_oracle(*shape)
-
-
-def test_streams_match_reference_simulator_across_chunks(monkeypatch):
-    # 7-row mask GEMMs at N = 16 (one row at N = 64): each beam's symbols span
-    # several full GEMMs and a partial one
-    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_ELEMENTS", 7 * 16)
-    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_MIN_ROWS", 1)
+    """Every symbol of the block each kernel reduces, rebuilt from its
+    operator and draw, equals the oracle's gains for the weights the kernel
+    sent, at the strongest path, a secondary candidate, a never-steered
+    path angle and two off-path angles, on every shape of ORACLE_SHAPES."""
     for shape in ORACLE_SHAPES:
         _check_streams_against_oracle(*shape)
 
@@ -323,35 +320,50 @@ MOMENT_SHAPES = [(*shape, 60, 82) for shape in ORACLE_SHAPES] + [
 ]
 
 
-@pytest.mark.parametrize("n, L, m, l_s, angles, K, seed", MOMENT_SHAPES)
-def test_kernel_moments_match_two_pass_statistics(n, L, m, l_s, angles, K, seed):
-    """Per beam and observer, the kernel's count, mean and M2 equal two-pass
-    numpy statistics of the same block's per-symbol gains, its receiver sum
-    equals the sum of |recv|, and each moment-based estimator equals the
-    sample formula it replaces, all within 1e-12."""
+def _check_moments_against_oracle(n, L, m, l_s, angles, K, seed):
     cfg = ArrayConfig(n)
     ch = sample_channel(L, THETA_R, np.random.default_rng(81))
     thetas = _oracle_angles(ch, l_s, angles)
     T, noise = len(thetas), 1 / 10**1.5
     for kind in ALL:
         s = simulate_streams(ch, cfg, kind, m, l_s, thetas, K, np.random.default_rng(seed))
-        got, ref = s.moments, beam_moments(np.vstack([s.eaves, s.recv]), s.row, s.table.shape[1])
+        g = kernel_gains(ch, cfg, kind, m, l_s, thetas, K, seed)
+        got, ref = s.moments, beam_moments(np.vstack([g.eaves, g.recv]), g.row, s.table.shape[1])
         assert np.array_equal(got.count, ref.count) and got.count.sum() == K
         sent = ref.count > 0
         assert np.allclose(got.mean[sent], ref.mean[sent], rtol=0, atol=1e-12)
         assert np.allclose(got.m2, ref.m2, rtol=0, atol=1e-12) and np.all(got.m2 >= 0)
-        assert s.recv_abs_sum == pytest.approx(np.abs(s.recv).sum(), rel=1e-12)
+        assert s.recv_abs_sum == pytest.approx(np.abs(g.recv).sum(), rel=1e-12)
         assert receiver_snr(s.recv_abs_sum, K, noise) == pytest.approx(
-            receiver_snr_of_samples(s.recv, noise), rel=1e-12
+            receiver_snr_of_samples(g.recv, noise), rel=1e-12
         )
         eve, aligned = got.at(0), s.table[0]
         assert alignment_mixture_snr(eve, aligned, noise) == pytest.approx(
-            alignment_mixture_snr_of_samples(s.eaves[0], s.aligned[0], noise), rel=1e-12
+            alignment_mixture_snr_of_samples(g.eaves[0], g.aligned[0], noise), rel=1e-12
         )
         assert location_mixture_snr(eve, aligned, got.at(slice(1, T)), L, noise) == pytest.approx(
-            location_mixture_snr_of_samples(s.eaves[0][s.aligned[0]], list(s.eaves[1:]), L, noise),
+            location_mixture_snr_of_samples(g.eaves[0][g.aligned[0]], list(g.eaves[1:]), L, noise),
             rel=1e-12,
         )
+
+
+@pytest.mark.parametrize("n, L, m, l_s, angles, K, seed", MOMENT_SHAPES)
+def test_kernel_moments_match_two_pass_statistics(n, L, m, l_s, angles, K, seed):
+    """Per beam and observer, the kernel's count, mean and M2 equal two-pass
+    numpy statistics of the same block's per-symbol gains, rebuilt without
+    the kernel's sort, chunked GEMMs or reductions (`kernel_gains`); its
+    receiver sum equals the sum of |recv|, and each moment-based estimator
+    equals the sample formula it replaces, all within 1e-12."""
+    _check_moments_against_oracle(n, L, m, l_s, angles, K, seed)
+
+
+def test_streams_match_reference_simulator_across_chunks(monkeypatch):
+    # 7-row mask GEMMs at N = 16 (one row at N = 64 and 256): each beam's symbols
+    # span several full GEMMs and a partial one
+    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_ELEMENTS", 7 * 16)
+    monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_MIN_ROWS", 1)
+    for shape in MOMENT_SHAPES:
+        _check_moments_against_oracle(*shape)
 
 
 MEMO_SPECS = [
@@ -516,13 +528,14 @@ def test_random_path_alignment_label_frequency():
         ch, cfg, StrategyKind.RANDOM_PATH, 16, 5, [THETA_R], 20_000,
         np.random.default_rng(79),
     )
-    frac = np.mean(streams.aligned[0])
+    count = streams.moments.count
+    frac = count[streams.table[0]].sum() / count.sum()
     assert frac == pytest.approx(1 / 12, abs=0.01)
     off = simulate_streams(
         ch, cfg, StrategyKind.RANDOM_PATH, 16, 5, [39.5], 1000,
         np.random.default_rng(80),
     )
-    assert not off.aligned[0].any()
+    assert off.moments.count[off.table[0]].sum() == 0
 
 
 def test_run_sweep_deterministic():

@@ -3,12 +3,20 @@
 The central checks here are the decomposition oracles: the direct h^H f
 inner product of the weights the Monte Carlo kernel sends, evaluated
 independently with numpy (`oracle`), must equal the decomposed per-path
-forms of the analysis module and the kernel's own gain streams.
+forms of the analysis module and the per-symbol gains rebuilt from the
+kernel's own operator and draw (`oracle.kernel_gains`).
 """
 
 import numpy as np
 import pytest
-from oracle import full_channel_gain, joint_symbols, observed_gain, receiver_gain, sent_symbols
+from oracle import (
+    full_channel_gain,
+    joint_symbols,
+    kernel_gains,
+    observed_gain,
+    receiver_gain,
+    sent_symbols,
+)
 
 from mmwsec.analysis import beta_e_hat_term, beta_e_term, beta_r_term, dirichlet_B
 from mmwsec.array_geometry import ArrayConfig
@@ -23,6 +31,11 @@ SQRT_LN = np.sqrt(12 * 32)
 
 def streams(ch, kind, thetas, K, seed):
     return simulate_streams(ch, CFG, kind, 16, 5, thetas, K, np.random.default_rng(seed))
+
+
+def gains(ch, kind, thetas, K, seed):
+    """The per-symbol gains of the block `streams` reduces on the same seed."""
+    return kernel_gains(ch, CFG, kind, 16, 5, thetas, K, seed)
 
 
 @pytest.fixture
@@ -88,23 +101,22 @@ def test_single_path_conventional_gain():
     want = np.conj(ch.paths[0].gain) * np.sqrt(32)
     (w,), _ = sent_symbols(ch, CFG, StrategyKind.CONVENTIONAL, 16, 5, 1, 0)
     assert full_channel_gain(ch, CFG, w) == pytest.approx(want, abs=1e-9)
-    assert streams(ch, StrategyKind.CONVENTIONAL, [THETA_R], 1, 0).recv[0] == pytest.approx(
-        want, abs=1e-9
-    )
+    moments = streams(ch, StrategyKind.CONVENTIONAL, [THETA_R], 1, 0).moments
+    assert moments.mean[0, -1] == pytest.approx(want, abs=1e-9)
 
 
 def test_receiver_gain_matches_direct_product(channel):
     # the kernel's gains at the L path angles, weighted by conj(alpha_l),
     # sum to the full-channel h^H f of every row it sends
     for kind in StrategyKind:
-        s = streams(channel, kind, channel.aods_deg, 10, 34)
+        s = gains(channel, kind, channel.aods_deg, 10, 34)
         w, _ = sent_symbols(channel, CFG, kind, 16, 5, 10, 34)
         direct = [full_channel_gain(channel, CFG, x) for x in w]
         assert np.allclose(np.conj(channel.gains) @ s.eaves, direct, rtol=0, atol=1e-9)
 
 
 def test_random_path_chosen_component(channel):
-    s = streams(channel, StrategyKind.RANDOM_PATH, [THETA_R], 20, 35)
+    s = gains(channel, StrategyKind.RANDOM_PATH, [THETA_R], 20, 35)
     _, paths = sent_symbols(channel, CFG, StrategyKind.RANDOM_PATH, 16, 5, 20, 35)
     want = np.conj(channel.gains[paths[:, 0]]) * np.sqrt(32 / 12)
     assert np.allclose(s.recv, want, rtol=0, atol=1e-9)
@@ -130,8 +142,9 @@ def test_eavesdropper_random_path_kernel(channel):
 
 
 def test_eavesdropper_aligned_magnitude(channel):
-    s = streams(channel, StrategyKind.CONVENTIONAL, [THETA_R], 5, 0)
-    assert np.allclose(np.abs(s.eaves[0]), np.sqrt(32 / 12), rtol=0, atol=1e-9)
+    moments = streams(channel, StrategyKind.CONVENTIONAL, [THETA_R], 5, 0).moments
+    assert moments.count[0] == 5 and moments.m2[0, 0] == 0
+    assert abs(moments.mean[0, 0]) == pytest.approx(np.sqrt(32 / 12), abs=1e-9)
 
 
 def test_joint_eavesdropper_sidelobe_decomposition(channel):
@@ -192,18 +205,22 @@ def test_beta_hat_rejects_unaligned_angle(channel):
 
 
 def test_conventional_symbols_are_static(channel):
-    gains = streams(channel, StrategyKind.CONVENTIONAL, [THETA_R], 20, 44).recv
-    assert np.all(gains == gains[0])
+    # one beam, and no spread about its gain at either observer
+    moments = streams(channel, StrategyKind.CONVENTIONAL, [THETA_R], 20, 44).moments
+    assert moments.count.tolist() == [20] and np.all(moments.m2 == 0)
 
 
 def test_random_path_receiver_magnitude_levels(channel):
-    gains = streams(channel, StrategyKind.RANDOM_PATH, [THETA_R], 500, 45).recv
-    levels = np.unique(np.round(np.abs(gains), 9))
+    moments = streams(channel, StrategyKind.RANDOM_PATH, [THETA_R], 500, 45).moments
+    assert np.all(moments.m2[:, -1] == 0)  # every symbol on a beam has its gain
+    sent = moments.count > 0
+    levels = np.unique(np.round(np.abs(moments.mean[sent, -1]), 9))
     assert levels.size <= 12
 
 
 def test_simulation_deterministic(channel):
     r1 = streams(channel, StrategyKind.JOINT_PATH_ANTENNA, [55.0], 100, 46)
     r2 = streams(channel, StrategyKind.JOINT_PATH_ANTENNA, [55.0], 100, 46)
-    assert np.array_equal(r1.recv, r2.recv)
-    assert np.array_equal(r1.eaves, r2.eaves)
+    for name in ("count", "mean", "m2"):
+        assert np.array_equal(getattr(r1.moments, name), getattr(r2.moments, name))
+    assert r1.recv_abs_sum == r2.recv_abs_sum and np.array_equal(r1.table, r2.table)
