@@ -150,7 +150,8 @@ class BeamMoments:
     count (R,) is the number of symbols sent on each beam; mean (R, C) is
     their mean gain at each observer and m2 (R, C) their M2, the sum of
     squared deviations sum |g - mean|^2.  A beam that sends no symbol has
-    count 0, a finite mean and M2 0, so it weighs nothing in a pool.
+    count 0, M2 0 and a finite mean (the kernel's exact mean gain of the
+    beam), so it weighs nothing in a pool.
     """
 
     count: np.ndarray
@@ -226,11 +227,16 @@ def location_mixture_snr(
     per-beam moments at the transmit angle, of which the beams marked
     aligned make up the mainlobe; sidelobes holds every beam's moments at
     the C non-transmitted angles, each pooled over all beams.  Mirrors the
-    two-term closed form of the joint technique.
+    two-term closed form of the joint technique.  The mainlobe weighs 2/L
+    whatever the symbol counts, so a block that sent no aligned symbol
+    reads the aligned beams' means (the kernel's exact mean gains).
     """
     L = n_paths
-    n, mean, _ = main.pool(np.asarray(aligned, dtype=bool))
-    snr_main = float(np.abs(mean) ** 2 / noise_power_linear) if n else 0.0
+    aligned = np.asarray(aligned, dtype=bool)
+    n, mean, _ = main.pool(aligned)
+    if not n and aligned.any():
+        mean = main.mean[aligned].mean(axis=0)
+    snr_main = float(np.abs(mean) ** 2 / noise_power_linear)
     snr_side = 0.0
     if sidelobes.mean.shape[1]:
         n, mean, m2 = sidelobes.pool()

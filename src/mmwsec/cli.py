@@ -1,6 +1,8 @@
 """Command-line front end: figure presets, custom sweeps, CSV output.
 
 Configuration precedence is preset < config file < command-line flags.
+The config file's values and the flags are set on each run spec at once,
+so only the effective configuration is validated, and only by `SweepSpec`.
 Every run writes the result table plus a `<output>.meta` sidecar with the
 full effective configuration, which is sufficient to reproduce the CSV
 byte for byte.
@@ -95,8 +97,8 @@ def parse_strategies(text: str) -> tuple[StrategyKind, ...]:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; blank lines and '#' comments ignored."""
-    values = {}
+    """Flat key=value lines of table keys; blank lines and '#' comments ignored."""
+    values, keys = {}, sorted(key for key, *_ in _FIELDS)
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -108,6 +110,8 @@ def load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise CliError(f"unknown config key {key!r}; valid keys: {keys}")
         values[key] = val
     return values
 
@@ -136,14 +140,19 @@ _FIELDS = (
 )
 
 
-def _apply(specs: dict[str, SweepSpec], values: dict, source: str) -> dict[str, SweepSpec]:
-    """Set every table field whose key has a value in `values` on every run
-    spec; a field the run sweeps (its axis, or a field its specs differ in)
-    would be overridden, so it is an error."""
+def apply_settings(specs: dict[str, SweepSpec], args: argparse.Namespace) -> dict[str, SweepSpec]:
+    """The run specs with every table field the config file (if any) or a
+    flag gives set in one `replace`, flags winning, so `SweepSpec` checks
+    only the effective configuration.  Setting a field the run sweeps (its
+    axis, or a field its specs differ in) is an error: the sweep would
+    override it."""
+    sources = [("config key", load_config_file(args.config))] if args.config else []
     updates = {}
     axis = next(iter(specs.values())).axis
-    for key, field, conv, _ in _FIELDS:
-        if values.get(key) is not None:
+    for source, values in [*sources, ("flag", vars(args))]:
+        for key, field, conv, _ in _FIELDS:
+            if values.get(key) is None:
+                continue
             curve = [getattr(spec, field) for spec in specs.values()]
             if field == axis or len(set(curve)) > 1:
                 swept = (
@@ -157,44 +166,6 @@ def _apply(specs: dict[str, SweepSpec], values: dict, source: str) -> dict[str, 
             except ValueError as e:
                 raise CliError(f"{source} {key}: {e}") from e
     return {label: replace(spec, **updates) for label, spec in specs.items()}
-
-
-def apply_config_file(specs: dict[str, SweepSpec], path: str) -> dict[str, SweepSpec]:
-    values = load_config_file(path)
-    keys = sorted(key for key, *_ in _FIELDS)
-    for key in values:
-        if key not in keys:
-            raise CliError(f"unknown config key {key!r}; valid keys: {keys}")
-    return _apply(specs, values, "config key")
-
-
-def apply_flags(specs: dict[str, SweepSpec], args: argparse.Namespace) -> dict[str, SweepSpec]:
-    return _apply(specs, vars(args), "flag")
-
-
-def validate_spec(spec: SweepSpec):
-    if StrategyKind.JOINT_PATH_ANTENNA in spec.strategies:
-        if spec.axis != "n_paths" and spec.n_paths < 2:
-            raise CliError(
-                "joint path-and-antenna selection requires paths >= 2 "
-                f"(got paths={spec.n_paths})"
-            )
-        if spec.l_s < 2:
-            raise CliError(
-                "joint path-and-antenna selection requires ls >= 2: the pool of the ls "
-                "strongest paths includes the strongest, which is never secondary "
-                f"(got ls={spec.l_s})"
-            )
-    if spec.m_main is not None and spec.m_main < 1:
-        raise CliError(f"m-main must be >= 1, got {spec.m_main}")
-    if spec.m_main is not None and spec.axis != "n_antennas":
-        if spec.m_main > spec.n_antennas:
-            raise CliError(
-                f"m-main must lie in [1, antennas]; got m-main={spec.m_main}, "
-                f"antennas={spec.n_antennas}"
-            )
-    if spec.axis != "n_paths" and not 1 <= spec.l_s:
-        raise CliError(f"ls must be >= 1, got {spec.l_s}")
 
 
 def spec_metadata(spec: SweepSpec) -> dict[str, str]:
@@ -261,11 +232,8 @@ def run(args: argparse.Namespace) -> int:
         specs = {
             "": SweepSpec(strategies=tuple(STRATEGY_NAMES.values()), axis=axis, axis_values=values)
         }
-    if args.config:
-        specs = apply_config_file(specs, args.config)
-    specs = apply_flags(specs, args)
+    specs = apply_settings(specs, args)
     for spec in specs.values():
-        validate_spec(spec)
         if args.analytic and not set(spec.strategies) & set(ANALYTIC_STRATEGIES):
             raise CliError("--analytic requires random-path or joint among the strategies")
     if any(spec.ensemble == 1 for spec in specs.values()):
@@ -286,10 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

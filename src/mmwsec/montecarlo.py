@@ -70,7 +70,7 @@ from .analysis import (
     snr_r_random_path,
 )
 from .array_geometry import ArrayConfig, array_response, cos_aligned, steering_phases
-from .channel import ChannelRealization, channel_stats, sample_channel
+from .channel import AOD_SET, ChannelRealization, channel_stats, sample_channel
 from .strategies import StrategyKind, StrategyParams, secondary_pool
 
 DEFAULT_AXIS_VALUES = {
@@ -88,17 +88,25 @@ AXIS_NAMES = {
 ANALYTIC_STRATEGIES = (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA)
 
 
-def _ratio_invertible(x_db: float) -> bool:
-    """Whether 10^(x_db/10) and its reciprocal are both positive finite floats."""
-    try:
-        linear = db_to_linear(x_db)
-    except OverflowError:
-        return False
-    return linear > 0 and math.isfinite(1 / linear)
+# rho in dB: within this range 10^(rho/10), its reciprocal and every SNR and
+# rate the sweep forms from them are finite floats (the receiver SNR
+# overflows near 3080 dB)
+RHO_DB_LIMIT = 1000.0
+
+
+def _reject(name: str, values, ok, rule: str):
+    """Raise ValueError "<name> <rule>, got <v, ...>" listing every value not ok."""
+    bad = ", ".join(f"{v:g}" for v in values if not ok(v))
+    if bad:
+        raise ValueError(f"{name} {rule}, got {bad}")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One curve.  Construction is a run's one validation: it raises
+    ValueError, naming the flag, for every setting or axis value the sweep
+    cannot evaluate (`_strategy_applicable` leaves only per-point cases)."""
+
     strategies: tuple[StrategyKind, ...]
     axis: str
     axis_values: tuple[float, ...]
@@ -128,33 +136,29 @@ class SweepSpec:
             raise ValueError("ensemble must be >= 1")
         if self.base_seed < 0:  # numpy's SeedSequence would reject it without naming it
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
-        # every angle the sweep evaluates; only cos(theta) enters the model,
-        # so an angle outside [1, 180] would silently alias another one
-        theta_e = self.axis_values if self.axis == "theta_e_deg" else (self.theta_e_deg,)
-        for name, values in (("theta-r", (self.theta_r_deg,)), ("theta-e", theta_e)):
-            bad = ", ".join(f"{v:g}" for v in values if not 1 <= v <= 180)
-            if bad:
-                raise ValueError(f"{name} must lie in [1, 180], got {bad}")
+        # only cos(theta) enters the model, so an angle outside [1, 180] would
+        # silently alias another one
+        for name, field in (("theta-r", "theta_r_deg"), ("theta-e", "theta_e_deg")):
+            _reject(name, self.values_of(field), lambda v: 1 <= v <= 180, "must lie in [1, 180]")
         # a NaN or infinite rho would reach the sweep as a NaN SNR or a zero noise floor
-        rho_e = (
-            ("rho-e", self.axis_values) if self.axis == "rho_e_db" else ("rho-e-db", (self.rho_e_db,))
-        )
-        for name, values in (("rho-r-db", (self.rho_r_db,)), rho_e):
-            bad = ", ".join(f"{v:g}" for v in values if not math.isfinite(v))
-            if bad:
-                raise ValueError(f"{name} must be finite, got {bad}")
-            # the sweep takes 10^(dB/10) and divides by it, so neither may overflow or reach 0
-            bad = ", ".join(f"{v:g}" for v in values if not _ratio_invertible(v))
-            if bad:
-                raise ValueError(
-                    f"{name} must give a linear ratio whose value and reciprocal are positive "
-                    f"finite floats, got {bad}"
-                )
+        rho_e = "rho-e" if self.axis == "rho_e_db" else "rho-e-db"
+        for name, field in (("rho-r-db", "rho_r_db"), (rho_e, "rho_e_db")):
+            _reject(name, self.values_of(field), math.isfinite, "must be finite")
+            _reject(
+                name, self.values_of(field), lambda v: abs(v) <= RHO_DB_LIMIT,
+                f"must lie in [{-RHO_DB_LIMIT:g}, {RHO_DB_LIMIT:g}] dB",
+            )
         # the sweep builds an array or channel of int(value) antennas or paths
         if self.axis in ("n_antennas", "n_paths"):
-            bad = ", ".join(f"{v:g}" for v in self.axis_values if not float(v).is_integer())
-            if bad:
-                raise ValueError(f"{AXIS_NAMES[self.axis]} values must be whole numbers, got {bad}")
+            _reject(
+                f"{AXIS_NAMES[self.axis]} values", self.axis_values,
+                lambda v: float(v).is_integer(), "must be whole numbers",
+            )
+        _reject("antennas", self.values_of("n_antennas"), lambda v: v >= 2, "must be >= 2")
+        _reject(
+            "paths", self.values_of("n_paths"), lambda v: 1 <= v <= len(AOD_SET),
+            f"must lie in [1, {len(AOD_SET)}]",
+        )
         # rows are keyed by (strategy, axis value), so a repeat would write a second estimate
         repeated = [v for v, count in Counter(self.axis_values).items() if count > 1]
         if repeated:
@@ -162,6 +166,31 @@ class SweepSpec:
             raise ValueError(
                 f"{AXIS_NAMES[self.axis]} values must be distinct, got {bad} more than once"
             )
+        if StrategyKind.JOINT_PATH_ANTENNA in self.strategies:
+            if self.axis != "n_paths" and self.n_paths < 2:
+                raise ValueError(
+                    "joint path-and-antenna selection requires paths >= 2 "
+                    f"(got paths={self.n_paths})"
+                )
+            if self.l_s < 2:
+                raise ValueError(
+                    "joint path-and-antenna selection requires ls >= 2: the pool of the ls "
+                    "strongest paths includes the strongest, which is never secondary "
+                    f"(got ls={self.l_s})"
+                )
+        if self.m_main is not None and self.m_main < 1:
+            raise ValueError(f"m-main must be >= 1, got {self.m_main}")
+        if self.m_main is not None and self.axis != "n_antennas" and self.m_main > self.n_antennas:
+            raise ValueError(
+                f"m-main must lie in [1, antennas]; got m-main={self.m_main}, "
+                f"antennas={self.n_antennas}"
+            )
+        if self.axis != "n_paths" and not 1 <= self.l_s:
+            raise ValueError(f"ls must be >= 1, got {self.l_s}")
+
+    def values_of(self, field: str) -> tuple:
+        """Every value of `field` the sweep evaluates: the axis values on its axis."""
+        return self.axis_values if field == self.axis else (getattr(self, field),)
 
     def resolved_m(self, n_antennas: int) -> int:
         return self.m_main if self.m_main is not None else n_antennas // 2
@@ -544,16 +573,12 @@ class _Point:
 
 
 def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n_paths: int):
-    if kind is StrategyKind.SWITCHED_ARRAY:
-        return 1 <= spec.resolved_m(n_antennas) <= n_antennas
-    if kind is StrategyKind.JOINT_PATH_ANTENNA:
-        try:  # also rules out L < 2, since 2 <= l_s <= L
-            StrategyParams(spec.resolved_m(n_antennas), min(spec.l_s, n_paths)).validate(
-                n_antennas, n_paths
-            )
-        except ValueError:
+    # `SweepSpec` rejects every other infeasible run: only an antennas-axis N
+    # below m, or a paths-axis L below 2 for joint, makes one point inapplicable
+    if kind in (StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA):
+        if spec.resolved_m(n_antennas) > n_antennas:
             return False
-    return True
+    return kind is not StrategyKind.JOINT_PATH_ANTENNA or n_paths >= 2
 
 
 def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
@@ -657,8 +682,8 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
 
     For each point the clamped secrecy rate is averaged over the channel
     ensemble; rows carry the ensemble means (SNRs in dB) and the standard
-    error of the rate.  Infeasible combinations yield rows flagged
-    inapplicable.
+    error of the rate.  A point whose axis value puts N below m (switched,
+    joint) or L below 2 (joint) yields a row flagged inapplicable.
     """
 
     def evaluate(pt: _Point, ch: ChannelRealization, rng: np.random.Generator, subsets):

@@ -128,10 +128,11 @@ def alignment_mixture_snr_of_samples(gains, labels, noise):
     return sum((sel.size / g.size) * coherent_snr(sel, noise) for sel in groups)
 
 
-def location_mixture_snr_of_samples(aligned_gains, sidelobe_gain_sets, n_paths, noise):
-    """2/L times the mainlobe's |mean|^2 / noise plus (1 - 2/L) times the mean
-    coherent SNR over the sidelobe angles."""
+def location_mixture_snr_of_samples(aligned_gains, sidelobe_gain_sets, n_paths, noise, main_gain):
+    """2/L times the mainlobe's |mean|^2 / noise, or |main_gain|^2 / noise if
+    no symbol was aligned, plus (1 - 2/L) times the mean coherent SNR over
+    the sidelobe angles."""
     g = np.asarray(aligned_gains, dtype=complex)
-    snr_main = float(np.abs(g.mean()) ** 2 / noise) if g.size else 0.0
+    snr_main = float(np.abs(g.mean() if g.size else main_gain) ** 2 / noise)
     side = [coherent_snr(np.asarray(s, dtype=complex), noise) for s in sidelobe_gain_sets]
     return (2 / n_paths) * snr_main + (1 - 2 / n_paths) * (float(np.mean(side)) if side else 0.0)

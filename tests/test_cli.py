@@ -103,17 +103,15 @@ def test_observation_angles_checked_on_every_axis(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "4000", "-4000"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "3082", "4000", "-4000"])
 def test_link_qualities_must_be_finite(tmp_path, capsys, bad):
     # a NaN rho used to write ok rows holding -inf; an infinite one a 307.79 dB
     # SNR, or a division by zero; 4000 dB overflowed 10^(dB/10) and -4000 dB
-    # rounded it to 0, each ending in a traceback
+    # rounded it to 0, each ending in a traceback; 3082 dB wrote ok rows of
+    # infinite SNR and rate
     out = tmp_path / "x.csv"
     args = ["--strategies", "conventional,random-path", *FAST, "-o", str(out)]
-    if bad in ("nan", "inf"):
-        rule = "must be finite"
-    else:
-        rule = "must give a linear ratio whose value and reciprocal are positive finite floats"
+    rule = "must be finite" if bad in ("nan", "inf") else "must lie in [-1000, 1000] dB"
     assert run_cli(["sweep", "--axis", "rho-e", "--values", f"10,{bad}", *args]) == 2
     assert f"rho-e {rule}, got {bad}" in capsys.readouterr().err
     for flag in ("--rho-r-db", "--rho-e-db"):
@@ -290,6 +288,46 @@ def test_flags_override_config_file(tmp_path):
     meta = (tmp_path / "out.csv.meta").read_text()
     assert "n_antennas=8" in meta  # flag wins
     assert "n_paths=6" in meta  # config wins over default
+
+
+@pytest.mark.parametrize(
+    "config, flags, meta",
+    [("theta_e = 200\n", ["--theta-e", "40"], ["theta_e_deg=40"]),
+     ("m_main = 40\n", ["--antennas", "64"], ["n_antennas=64", "m_main=40"])],
+    ids=["overridden", "combined"],
+)
+def test_only_the_effective_configuration_is_validated(tmp_path, config, flags, meta):
+    # a config value a flag overrides is never run, and one that is run is
+    # checked against the flags it runs with
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out.csv"
+    code = run_cli(
+        ["sweep", "--axis", "rho-e", "--values", "15", "--strategies", "switched",
+         "--config", str(cfg), *flags, *FAST, "-o", str(out)]
+    )
+    assert code == 0
+    lines = (tmp_path / "out.csv.meta").read_text().splitlines()
+    assert all(line in lines for line in meta)
+
+
+@pytest.mark.parametrize(
+    "axis, values, strategy, message",
+    [("antennas", "1,16", "switched", "antennas must be >= 2, got 1"),
+     ("paths", "0,12", "joint", "paths must lie in [1, 180], got 0")],
+)
+def test_array_and_path_counts_are_checked_for_every_strategy(
+    tmp_path, capsys, axis, values, strategy, message
+):
+    # these used to write an inapplicable row here, and fail for another strategy
+    out = tmp_path / "x.csv"
+    code = run_cli(
+        ["sweep", "--axis", axis, "--values", values, "--strategies", strategy, *FAST,
+         "-o", str(out)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_config_key(tmp_path, capsys):
