@@ -8,6 +8,7 @@ pinned at the configured receiver angle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,11 @@ class ChannelRealization:
     def strongest_aod_deg(self) -> float:
         return self.paths[self.strongest_index].aod_deg
 
+    @functools.cached_property
+    def mean_gain(self) -> float:
+        """Mean |gain| over all paths, computed once per realization."""
+        return float(np.abs(self.gains).mean())
+
 
 @dataclass(frozen=True)
 class ChannelStats:
@@ -102,11 +108,10 @@ def top_k_paths(ch: ChannelRealization, k: int) -> list[int]:
 
 def channel_stats(ch: ChannelRealization) -> ChannelStats:
     """Mean |gain| over all paths and over all paths except the strongest."""
-    mags = np.abs(ch.gains)
-    mean_all = float(mags.mean())
     if ch.n_paths < 2:
-        return ChannelStats(mean_gain=mean_all, mean_gain_excl_strongest=None)
+        return ChannelStats(mean_gain=ch.mean_gain, mean_gain_excl_strongest=None)
     mask = np.ones(ch.n_paths, dtype=bool)
     mask[ch.strongest_index] = False
-    return ChannelStats(mean_gain=mean_all, mean_gain_excl_strongest=float(mags[mask].mean()))
+    mags = np.abs(ch.gains)
+    return ChannelStats(mean_gain=ch.mean_gain, mean_gain_excl_strongest=float(mags[mask].mean()))
 

@@ -10,8 +10,9 @@ schedule-independent:
 
 - a channel by (base seed, role, path count, ensemble index), so a sweep
   draws each one once and shares it across strategies and axis points;
-- a strategy's beam schedule (random-path's path index, joint's pool
-  index) by (base seed, role, strategy, axis index, ensemble index);
+- a strategy's beam counts (random-path's per-path counts, joint's
+  per-pool-beam counts) by (base seed, role, strategy, axis index,
+  ensemble index), a stream built only when a draw reads it;
 - the antenna subsets of the switched and joint schemes by (base seed,
   role, j, ensemble index), where j is the first axis index with the
   point's array size N, not by strategy or axis point: at one ensemble
@@ -20,15 +21,17 @@ schedule-independent:
   numbers, and no row depends on which other strategies a sweep requests.
 
 `simulate_streams` evaluates one observation law on factored weight rows
-(`_draw_weights`): a beam per symbol, plus, for the switched and joint
-schemes, a per-symbol antenna subset.  It hands the estimators per-beam
-moments, not per-symbol gains: symbols on one beam s share its
-deterministic gain G[s], so each observer's count, mean and M2 split by
-beam, and the estimators pool beams into groups by total variance
-(`analysis.BeamMoments`).  Conventional and random-path moments follow
-from the beam counts and G alone.  The masked schemes sort their symbols
-by beam once, apply the subsets (drawn whole, `SubsetBlock.mask`) as a
-real-mask GEMM over each beam's contiguous rows of one block, in GEMMs of
+(`_draw_weights`): how many symbols send each beam, plus, for the
+switched and joint schemes, a per-symbol antenna subset.  The receiver
+knows the schedule, so a block's symbols are exchangeable and only the
+per-beam counts are drawn: beam s is sent by a contiguous run of symbols.
+It hands the estimators per-beam moments, not per-symbol gains: symbols
+on one beam s share its deterministic gain G[s], so each observer's
+count, mean and M2 split by beam, and the estimators pool beams into
+groups by total variance (`analysis.BeamMoments`).  Conventional and
+random-path moments follow from the beam counts and G alone.  The masked
+schemes apply the subsets (drawn whole, `SubsetBlock.mask`) in place as a
+real-mask GEMM over each beam's run of one block, in GEMMs of
 `_chunk_symbols` rows, and reduce each beam's rows to its sums.  The
 receiver is one more observer row per beam, so each GEMM yields every
 observer's gain.  The deterministic part of a block (beams, alignment
@@ -36,7 +39,7 @@ table, GEMM operands) is memoized per strategy for the last (channel,
 angles) key (`_operator`).  The sweep runs ensemble index, then axis
 point, then strategy, so the nine rho_E points of a figure share one build
 per strategy and one subset block per ensemble index, and only the beam
-schedule draws are repeated per point.
+count draws are repeated per point.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -50,6 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -266,7 +270,7 @@ def figure_preset(fig_id: int) -> dict[str, SweepSpec]:
 # SUBSET_CHUNK_ELEMENTS // n symbols at a time, so each call's uniforms and
 # partition copy stay 128 KB at any array size.  The switched and joint
 # kernels apply it in GEMMs of the same element budget, each over one
-# beam's beam-sorted rows, but of at least SUBSET_CHUNK_MIN_ROWS rows, so
+# beam's contiguous rows, but of at least SUBSET_CHUNK_MIN_ROWS rows, so
 # at large n the GEMMs do not shrink to a few rows each.
 SUBSET_CHUNK_ELEMENTS = 1 << 14
 SUBSET_CHUNK_MIN_ROWS = 32
@@ -380,22 +384,32 @@ def _draw_weights(
 ):
     """Draw, in factored form, the weights K symbols of one strategy send.
 
-    Returns (row, mask): the beam each symbol sends (K,), an index into the
-    strategy's R beams B (`_beams`), drawn from rng.  Conventional and
-    random-path send B[row] itself (mask is None).  Switched and joint send
-    w_k = B[row_k] + mask_k (B[0] - B[row_k]): the antennas on symbol k's
-    m-subset carry the main beam B[0]; mask (K, n) is read from `subsets`
-    if given, else drawn from rng after row (`SubsetBlock(rng)`).
+    Returns (count, mask): how many of the K symbols send each of the
+    strategy's R beams B (`_beams`), (R,); beam s is sent by the count[s]
+    symbols after those of beams 0 to s - 1.  The symbols of a block are
+    exchangeable (the receiver knows the schedule), so only the counts are
+    drawn: conventional sends [K] and switched [0, K]; the random-path
+    counts are multinomial(K, 1/R), and joint's are 0 on the main beam and
+    multinomial(K, 1/(R - 1)) over the pool beams.
+    Conventional and random-path send B[s] itself (mask is None).  Switched
+    and joint send w_k = B[s] + mask_k (B[0] - B[s]): the antennas on
+    symbol k's m-subset carry the main beam B[0]; mask (K, n) is read from
+    `subsets` if given, else drawn from the plan stream after the counts
+    (`SubsetBlock`).  rng is the plan stream, or a function of no arguments
+    that returns it; a draw that reads no stream never calls it.
     """
     if kind is StrategyKind.CONVENTIONAL:
-        return np.zeros(K, dtype=int), None
+        return np.array([K]), None
+    if kind is StrategyKind.SWITCHED_ARRAY and subsets is not None:
+        return np.array([0, K]), subsets.mask(K, n, m_main)
+    rng = rng() if callable(rng) else rng
     if kind is StrategyKind.RANDOM_PATH:
-        return rng.integers(R, size=K), None
+        return rng.multinomial(K, np.full(R, 1 / R)), None
     if kind is StrategyKind.SWITCHED_ARRAY:
-        row = np.ones(K, dtype=int)
-    else:
-        row = 1 + rng.integers(R - 1, size=K)  # every pool index before any subset
-    return row, (SubsetBlock(rng) if subsets is None else subsets).mask(K, n, m_main)
+        count = np.array([0, K])
+    else:  # every pool count before any subset
+        count = np.array([0, *rng.multinomial(K, np.full(R - 1, 1 / (R - 1)))])
+    return count, (SubsetBlock(rng) if subsets is None else subsets).mask(K, n, m_main)
 
 
 @functools.lru_cache(maxsize=len(StrategyKind))
@@ -449,13 +463,13 @@ def simulate_streams(
     l_s: int,
     theta_e_list,
     K: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Callable[[], np.random.Generator],
     subsets: SubsetBlock | None = None,
 ) -> SymbolStreams:
     """Simulate K symbols of one strategy against many observation angles.
 
     Every strategy sends, per symbol, a unit-power weight vector w_k drawn
-    in factored form (`_draw_weights`): a beam B[row_k], with the m-subset
+    in factored form (`_draw_weights`): a beam B[s], with the m-subset
     mask_k switched to the main beam B[0] for switched and joint.  One
     observation law serves every observer: its gain is o w, with o its
     observer row (`_operator`).  An eavesdropper (unit channel gain) at
@@ -464,64 +478,60 @@ def simulate_streams(
     a(theta_l)^H w over the steered paths only (leakage from unsteered
     paths is excluded), so each beam has its own receiver row.
 
-    rng draws row.  The m-subsets come from `subsets`, a block shared with
-    the other masked strategy and the other axis points of the same array
-    size, when given; else they are drawn from rng after row
+    rng is the plan stream the counts are drawn from (`_draw_weights`: a
+    Generator, or a function that returns one, called only by the
+    random-path and joint draws and by a switched draw without `subsets`).
+    The m-subsets come from `subsets`, a block shared with the other masked
+    strategy and the other axis points of the same array size, when given;
+    else they are drawn from the plan stream after the counts
     (`SubsetBlock(rng)`).
 
     Returns the block as per-beam moments (`SymbolStreams`).  Per beam the
     law is G (R, T + 1), each beam at each observer, so conventional and
     random-path symbols on beam s all have the gain G[s]: mean G[s], M2 0.
-    The masked strategies add a random part y_k = mask_k D[s].  They sort
-    the symbols by beam (a stable radix sort on the beam index), write each
-    beam's contiguous rows of one (K, T + 1) block of y with real-mask
-    GEMMs of at most `_chunk_symbols` rows (so no complex (K, n) array is
-    ever held), and reduce the block with one `np.add.reduceat` for each
+    The masked strategies add a random part y_k = mask_k D[s].  Beam s is
+    sent by the contiguous symbols [start_s, end_s), which read the mask
+    rows in place: real-mask GEMMs of at most `_chunk_symbols` rows write
+    them into one (K, T + 1) block of y (so no complex (K, n) array is ever
+    held), and the block is reduced with one `np.add.reduceat` for each
     beam's sum of y and one einsum per beam for its sum of |y|^2; then
     mean = G[s] + sum y / n_s and M2 = sum |y|^2 - |sum y|^2 / n_s, clipped
     at 0.  For these strategies G[s] is the beam's mean gain over the
     subsets and y its zero-mean random part, so the raw sums lose no
-    digits to cancellation.  The receiver's sum of |G[s, T] + y_T| is taken
-    per GEMM.  The operator is built once per (strategy, channel, angles)
-    and reused while the key repeats; only row and the mask are drawn per
-    call.
+    digits to cancellation.  Only then is G[s, T] added to each beam's
+    receiver column, so the receiver's sum of |gain| is one abs-sum over
+    that column per block.  The operator is built once per (strategy,
+    channel, angles) and reused while the key repeats; only the counts and
+    the mask are drawn per call.
     """
     thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
     table, G, D = _operator(ch, cfg, kind, m_main, l_s, tuple(thetas.tolist()))
     R, n = len(G), cfg.n_antennas
-    row, mask = _draw_weights(kind, R, n, m_main, K, rng, subsets)
-    count = np.bincount(row, minlength=R)
+    count, mask = _draw_weights(kind, R, n, m_main, K, rng, subsets)
     if mask is None:  # every symbol of beam s has the gain G[s]
         moments = BeamMoments(count, G, np.zeros(G.shape))
         return SymbolStreams(moments, float(count @ np.abs(G[:, -1])), table)
-    # beam-sorted: beam s's symbols are the rows [start[s], end[s]) of the block
-    order = None
-    if count.max() < K:  # more than one beam: numpy radix-sorts a small-integer copy
-        order = np.argsort(row.astype(np.min_scalar_type(R - 1)), kind="stable")
     end = np.cumsum(count)
     start = end - count
     sent = np.flatnonzero(count)  # masked symbols never send beam 0
     y = np.empty((K, G.shape[1]), dtype=complex)  # the random part mask_k D[s]
     yf = y.view(float)
     step = _chunk_symbols(n)
-    recv_abs_sum = 0.0
     for s in sent:
         for lo in range(start[s], end[s], step):
             hi = min(lo + step, end[s])
-            on = mask[lo:hi] if order is None else np.take(mask, order[lo:hi], axis=0)
-            np.matmul(on.astype(float), D[s], out=yf[lo:hi])
-            # per GEMM, so no temporary is K symbols long
-            recv_abs_sum += float(np.abs(y[lo:hi, -1] + G[s, -1]).sum())
+            np.matmul(mask[lo:hi].astype(float), D[s], out=yf[lo:hi])
     sums = np.add.reduceat(y, start[sent], axis=0)  # only sent beams: no empty segment
     squares = np.empty(sums.shape)
     for i, s in enumerate(sent):
         seg = yf[start[s] : end[s]]
         squares[i] = np.einsum("ij,ij->j", seg, seg).reshape(-1, 2).sum(axis=1)
+        y[start[s] : end[s], -1] += G[s, -1]  # the receiver's gains, once y is reduced
     n_sent = count[sent, None]
     mean, m2 = G.copy(), np.zeros(G.shape)
     mean[sent] += sums / n_sent
     m2[sent] = np.maximum(squares - np.abs(sums) ** 2 / n_sent, 0.0)
-    return SymbolStreams(BeamMoments(count, mean, m2), recv_abs_sum, table)
+    return SymbolStreams(BeamMoments(count, mean, m2), float(np.abs(y[:, -1]).sum()), table)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +547,7 @@ def receiver_reference_gain(ch: ChannelRealization, kind: StrategyKind) -> float
     """
     if kind in (StrategyKind.CONVENTIONAL, StrategyKind.SWITCHED_ARRAY):
         return abs(ch.paths[ch.strongest_index].gain)
-    return channel_stats(ch).mean_gain
+    return ch.mean_gain
 
 
 def _channel_rng(spec: SweepSpec, n_paths: int, ens: int) -> np.random.Generator:
@@ -581,13 +591,40 @@ def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n
     return kind is not StrategyKind.JOINT_PATH_ANTENNA or n_paths >= 2
 
 
+def _check_row(row: SweepRow, snr_r: float):
+    """Raise ValueError, naming the strategy, axis value and field, unless
+    every field of an `ok` row is finite, its stderr is >= 0 and its rate
+    lies in [0, log2(1 + snr_r)], with snr_r the row's mean linear receiver
+    SNR (the rate is a mean of terms each at most log2(1 + its snr_r), so by
+    concavity at most this)."""
+    where = f"{row.strategy.value} at {AXIS_NAMES[row.axis]} {row.axis_value:g}"
+    fields = {
+        "snr_r_db": row.snr_r_db,
+        "snr_e_db": row.snr_e_db,
+        "secrecy_rate_bps_hz": row.rate_bps_hz,
+        "stderr": row.stderr,
+    }
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: {name} is {value}, not finite")
+    if row.stderr < 0:
+        raise ValueError(f"{where}: stderr is {row.stderr}, below 0")
+    # a few ulps of slack: the rate and snr_r are means summed in another order
+    cap = math.log2(1.0 + snr_r)
+    if not 0.0 <= row.rate_bps_hz <= cap * (1 + 1e-12):
+        raise ValueError(
+            f"{where}: secrecy_rate_bps_hz is {row.rate_bps_hz}, outside [0, {cap}]"
+        )
+
+
 def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     """The sweep loop shared by `run_sweep` and `compare_analytic`.
 
-    evaluate(point, ch, rng, subsets) returns one channel's linear
-    (snr_r, snr_e); rng is the plan stream of that (strategy, axis value,
-    channel), which only the random-path and joint draws read, and subsets
-    the `SubsetBlock` of that (array size, ensemble index), which only the
+    evaluate(point, ch, plan, subsets) returns one channel's linear
+    (snr_r, snr_e); plan is a function of no arguments that builds the plan
+    stream of that (strategy, axis value, channel), which only a draw that
+    reads the stream calls (`_draw_weights`: random-path and joint), and
+    subsets the `SubsetBlock` of that (array size, ensemble index), which only the
     Monte Carlo evaluation reads.  The loop runs ensemble index, then axis
     point, then strategy: every strategy and axis point with one array
     size N shares one subset block per ensemble index, keyed by the first
@@ -597,7 +634,9 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     alive at a time; on the rho_E axis every point also reuses each
     strategy's memoized observation operator (`_operator`, the one memo),
     which is cleared here, so nothing carries over from an earlier sweep.
-    Rates accumulate per strategy.
+    Rates accumulate per strategy.  Every `ok` row is checked before the
+    table is returned (`_check_row`), so an unsound row stops the run
+    before anything is written.
     """
     _operator.cache_clear()
     rho_r = db_to_linear(spec.rho_r_db)
@@ -645,7 +684,8 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
                     ch = channels[pt.n_paths] = sample_channel(
                         pt.n_paths, spec.theta_r_deg, _channel_rng(spec, pt.n_paths, ens)
                     )
-                snr_r, snr_e = evaluate(pt, ch, _plan_rng(spec, strat, axis_idx, ens), subsets)
+                plan = functools.partial(_plan_rng, spec, strat, axis_idx, ens)
+                snr_r, snr_e = evaluate(pt, ch, plan, subsets)
                 acc[strat][:, axis_idx, ens] = secrecy_rate(snr_r, snr_e), snr_r, snr_e
     rows = []
     for strat, pts in points.items():
@@ -661,18 +701,19 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
                 if spec.ensemble > 1
                 else 0.0
             )
-            rows.append(
-                SweepRow(
-                    strat,
-                    spec.axis,
-                    float(value),
-                    linear_to_db(float(snr_r_acc[i].mean())),
-                    linear_to_db(float(snr_e_acc[i].mean())),
-                    float(rates[i].mean()),
-                    stderr,
-                    "ok",
-                )
+            snr_r = float(snr_r_acc[i].mean())
+            row = SweepRow(
+                strat,
+                spec.axis,
+                float(value),
+                linear_to_db(snr_r),
+                linear_to_db(float(snr_e_acc[i].mean())),
+                float(rates[i].mean()),
+                stderr,
+                "ok",
             )
+            _check_row(row, snr_r)
+            rows.append(row)
     rows.sort(key=lambda r: (r.strategy.value, r.axis_value))
     return ResultTable(rows=rows, spec=spec)
 
@@ -686,7 +727,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     joint) or L below 2 (joint) yields a row flagged inapplicable.
     """
 
-    def evaluate(pt: _Point, ch: ChannelRealization, rng: np.random.Generator, subsets):
+    def evaluate(pt: _Point, ch: ChannelRealization, plan, subsets):
         # Under the pessimistic random-location model, an eavesdropper
         # sitting on a transmit angle of the joint scheme mixes mainlobe
         # interception (probability 2/L) with sidelobe observation at
@@ -698,7 +739,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
             if joint_mix:
                 theta_list += side
         streams = simulate_streams(
-            ch, pt.cfg, pt.strategy, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, rng,
+            ch, pt.cfg, pt.strategy, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, plan,
             subsets,
         )
         sigma_r = receiver_reference_gain(ch, pt.strategy) ** 2 / pt.rho_r
@@ -730,7 +771,7 @@ def compare_analytic(spec: SweepSpec) -> ResultTable:
         if strat not in ANALYTIC_STRATEGIES:
             raise ValueError(f"compare_analytic supports {ANALYTIC_STRATEGIES}, got {strat}")
 
-    def evaluate(pt: _Point, ch: ChannelRealization, _rng: np.random.Generator, _subsets):
+    def evaluate(pt: _Point, ch: ChannelRealization, _plan, _subsets):
         n_ant = pt.cfg.n_antennas
         if pt.strategy is StrategyKind.RANDOM_PATH:
             snr_r = snr_r_random_path(n_ant, pt.n_paths, pt.rho_r)

@@ -3,11 +3,14 @@
 `montecarlo.simulate_streams` evaluates the law for a whole symbol block
 on factored weight rows and returns only per-beam moments.  These helpers
 expand the kernel's own beams and draw (`montecarlo._beams`,
-`montecarlo._draw_weights`) into dense per-symbol weights and evaluate the
-law one weight vector at a time with `np.vdot`, and rebuild a block's
+`montecarlo._draw_weights`: per-beam symbol counts, so symbol k sends the
+beam of the run it falls in) into dense per-symbol weights and evaluate
+the law one weight vector at a time with `np.vdot`, and rebuild a block's
 per-symbol gains from the kernel's operator and draw (`kernel_gains`), so
 the tests can hold the operator to the law symbol by symbol and the
-kernel's moments to statistics of the rebuilt block.
+kernel's moments to statistics of the rebuilt block.  `masked_beam_variance`
+gives a masked beam's exact per-symbol variance at an eavesdropper, from
+the beams and the finite-population formula alone.
 
 It also keeps the per-symbol forms of the sweep's SNR estimators, which
 the kernel's per-beam moments replace (`analysis.BeamMoments`), and
@@ -44,11 +47,18 @@ def full_channel_gain(ch, cfg, w):
     return complex(np.vdot(math.sqrt(cfg.n_antennas / ch.n_paths) * h, w))
 
 
+def _rows(kind, R, n, m, K, seed):
+    """The kernel's draw on `seed` as the beam each symbol sends (K,) and its
+    mask: beam s repeated count[s] times, in beam order."""
+    count, mask = _draw_weights(kind, R, n, m, K, np.random.default_rng(seed))
+    return np.repeat(np.arange(R), count), mask
+
+
 def _expand(ch, cfg, kind, m, l_s, K, seed):
     """The kernel's draw on `seed` as dense rows: each symbol's weights (K, N),
     main-beam mask (K, N) and the channel indices of the paths it steers (K, S)."""
     B, cand, steer = _beams(ch, cfg, kind, m, l_s)
-    row, main = _draw_weights(kind, len(B), cfg.n_antennas, m, K, np.random.default_rng(seed))
+    row, main = _rows(kind, len(B), cfg.n_antennas, m, K, seed)
     if main is None:
         main = np.zeros((K, cfg.n_antennas), dtype=bool)
     return np.where(main, B[0], B[row]), main, cand[steer[row]]
@@ -79,13 +89,14 @@ class Gains(NamedTuple):
 def kernel_gains(ch, cfg, kind, m, l_s, thetas, K, seed):
     """The per-symbol gains of the block `simulate_streams` reduces on `seed`.
 
-    Built from the kernel's halves without its sort, chunked GEMMs or
-    reductions: `_operator` gives (table, G, D), `_draw_weights` on the
-    same seed gives (row, mask), and symbol k's gain is G[row_k] plus, for
-    the masked strategies, mask_k D[row_k] viewed as complex.
+    Built from the kernel's halves without its per-beam slicing, chunked
+    GEMMs or reductions: `_operator` gives (table, G, D), `_draw_weights`
+    on the same seed gives the beam counts and the mask, each symbol's beam
+    is row = repeat(arange(R), count), and symbol k's gain is G[row_k] plus,
+    for the masked strategies, mask_k D[row_k] viewed as complex.
     """
     table, G, D = _operator(ch, cfg, kind, m, l_s, tuple(np.asarray(thetas, float).tolist()))
-    row, mask = _draw_weights(kind, len(G), cfg.n_antennas, m, K, np.random.default_rng(seed))
+    row, mask = _rows(kind, len(G), cfg.n_antennas, m, K, seed)
     gains = G[row]
     if mask is not None:
         gains = gains + np.einsum("kn,knj->kj", mask.astype(float), D[row]).view(complex)
@@ -136,3 +147,22 @@ def location_mixture_snr_of_samples(aligned_gains, sidelobe_gain_sets, n_paths, 
     snr_main = float(np.abs(g.mean() if g.size else main_gain) ** 2 / noise)
     side = [coherent_snr(np.asarray(s, dtype=complex), noise) for s in sidelobe_gain_sets]
     return (2 / n_paths) * snr_main + (1 - 2 / n_paths) * (float(np.mean(side)) if side else 0.0)
+
+
+def masked_beam_variance(ch, cfg, kind, m, l_s, thetas):
+    """Exact per-symbol variance of each masked beam's gain at each
+    eavesdropper angle, (R, T), by finite-population sampling.
+
+    Symbol k of beam s sends B[s] with its random m-subset switched to
+    B[0], so its gain at theta is the sum over the subset of the terms
+    x_n = sqrt(N/L) conj(a(theta)_n) (B[0, n] - B[s, n]) plus a constant.
+    A uniform m-subset of n terms has variance
+    m (n - m) / (n (n - 1)) * sum_n |x_n - mean x|^2 (Cochran, Sampling
+    Techniques, ch. 2).
+    """
+    B, _, _ = _beams(ch, cfg, kind, m, l_s)
+    n = cfg.n_antennas
+    a = np.conj(array_response(cfg, np.asarray(thetas, dtype=float)[:, None]))  # (T, n)
+    x = math.sqrt(n / ch.n_paths) * a[None] * (B[0] - B)[:, None, :]  # (R, T, n)
+    spread = (np.abs(x - x.mean(axis=2, keepdims=True)) ** 2).sum(axis=2)
+    return m * (n - m) / (n * (n - 1)) * spread

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from mmwsec import montecarlo
 from mmwsec.cli import main, parse_strategies
 from mmwsec.montecarlo import ResultTable
 from mmwsec.strategies import StrategyKind
@@ -402,6 +403,17 @@ GOLDEN_COMMANDS = {
         "--m-main", "12", "--symbols", "200", "--ensemble", "2", "--seed", "5",
     ],
 }
+
+
+def test_an_unsound_row_stops_the_run_before_any_write(tmp_path, capsys, monkeypatch):
+    # an estimator that returns nan makes the row's eavesdropper SNR -inf dB
+    monkeypatch.setattr(montecarlo, "alignment_mixture_snr", lambda *args: float("nan"))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["sweep", "--axis", "rho-e", "--values", "0,10", "--strategies", "conventional"]
+    assert run_cli([*argv, *FAST, "-o", str(out / "x.csv")]) == 2
+    assert "error: conventional at rho-e 0: snr_e_db is -inf, not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_outputs_match_golden_bytes(tmp_path):

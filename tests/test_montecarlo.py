@@ -16,6 +16,7 @@ from oracle import (
     joint_symbols,
     kernel_gains,
     location_mixture_snr_of_samples,
+    masked_beam_variance,
     observed_gain,
     receiver_gain,
     receiver_snr_of_samples,
@@ -25,11 +26,13 @@ from oracle import (
 from mmwsec import montecarlo
 from mmwsec.analysis import alignment_mixture_snr, location_mixture_snr, receiver_snr
 from mmwsec.array_geometry import ArrayConfig, array_response, cos_aligned
-from mmwsec.channel import sample_channel
+from mmwsec.channel import ChannelRealization, sample_channel
 from mmwsec.montecarlo import (
     ResultTable,
     SubsetBlock,
+    SweepRow,
     SweepSpec,
+    _check_row,
     _draw_weights,
     _random_subsets,
     compare_analytic,
@@ -249,12 +252,13 @@ def test_joint_draws_uniform_secondary_paths_and_subsets():
     assert np.allclose(np.delete(freq, ch.strongest_index), 1 / 11, atol=0.01)
     on_main = np.isclose(w, array_response(cfg, THETA_R), rtol=0, atol=1e-12)
     assert np.allclose(on_main.mean(axis=0), 16 / 32, atol=0.03)
-    # draw order: every symbol's pool index first, then the antenna subsets
+    # draw order: every pool beam's count first, then the antenna subsets
     kind = StrategyKind.JOINT_PATH_ANTENNA
     _, cand, _ = montecarlo._beams(ch, cfg, kind, 16, 12)
-    row, mask = _draw_weights(kind, cand.size, 32, 16, 10_000, np.random.default_rng(76))
+    count, mask = _draw_weights(kind, cand.size, 32, 16, 10_000, np.random.default_rng(76))
     replay = np.random.default_rng(76)
-    assert np.array_equal(row, 1 + replay.integers(cand.size - 1, size=10_000))
+    pool = cand.size - 1
+    assert np.array_equal(count, [0, *replay.multinomial(10_000, np.full(pool, 1 / pool))])
     assert np.array_equal(mask, _random_subsets(replay, 10_000, 32, 16))
 
 
@@ -369,6 +373,36 @@ def test_streams_match_reference_simulator_across_chunks(monkeypatch):
     monkeypatch.setattr(montecarlo, "SUBSET_CHUNK_MIN_ROWS", 1)
     for shape in MOMENT_SHAPES:
         _check_moments_against_oracle(*shape)
+
+
+# Relative error of a sample variance over K_s symbols is about sqrt(2 / K_s)
+# for real Gaussian data; the masked gains are complex and not Gaussian, so
+# the bound is a multiple of it (the worst case over these channels reads
+# under 2 units)
+VARIANCE_UNITS = 4.0
+
+
+@pytest.mark.parametrize("kind", [StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA])
+def test_masked_beam_variance_matches_finite_population_sampling(kind):
+    """Each sent beam's M2 / count at each eavesdropper angle lies within
+    VARIANCE_UNITS * sqrt(2 / K_s) (relative) of the beam's exact
+    finite-population variance (`oracle.masked_beam_variance`), which reads
+    only the beams: a beam reduced over another beam's symbols, or with
+    another beam's operand, fails it."""
+    K, cfg, m, l_s, thetas = 40_000, ArrayConfig(32), 16, 5, [55.0, 70.0, 140.0]
+    worst = 0.0
+    for seed in range(5):
+        ch = sample_channel(12, THETA_R, np.random.default_rng(90 + seed))
+        s = simulate_streams(ch, cfg, kind, m, l_s, thetas, K, np.random.default_rng(95 + seed))
+        exact = masked_beam_variance(ch, cfg, kind, m, l_s, thetas)
+        count = s.moments.count
+        sent = np.flatnonzero(count)
+        assert count[0] == 0 and len(sent) == len(count) - 1
+        for b in sent:
+            got = s.moments.m2[b, :-1] / count[b]
+            units = np.abs(got / exact[b] - 1) / np.sqrt(2 / count[b])
+            worst = max(worst, float(units.max()))
+    assert worst < VARIANCE_UNITS
 
 
 MEMO_SPECS = [
@@ -524,6 +558,48 @@ def test_sweep_hands_over_uniform_subsets():
     (block,) = seen
     assert np.all(block.sum(axis=1) == 16)
     assert np.allclose(block.mean(axis=0), 16 / 32, atol=0.03)
+
+
+def test_plan_streams_are_built_only_by_the_draws_that_read_them(monkeypatch):
+    # conventional and switched (with the sweep's subset block) read no plan
+    # stream, so the sweep builds one per random-path and joint evaluation only
+    spec = small_spec(axis="rho_e_db", axis_values=(0.0, 10.0), ensemble=2, symbols_per_point=100)
+    rows = _csv_rows(spec)
+    built = []
+    spied = montecarlo._plan_rng
+
+    def spy(spec, strat, axis_idx, ens):
+        built.append((strat, axis_idx, ens))
+        return spied(spec, strat, axis_idx, ens)
+
+    monkeypatch.setattr(montecarlo, "_plan_rng", spy)
+    assert _csv_rows(spec) == rows
+    assert sorted(built, key=str) == sorted(
+        itertools.product(
+            (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA), range(2), range(2)
+        ),
+        key=str,
+    )
+
+
+def test_mean_gain_is_computed_once_per_channel(monkeypatch):
+    computed = []
+
+    def mean_gain(ch):
+        computed.append(ch)
+        return float(np.abs(ch.gains).mean())
+
+    spied = functools.cached_property(mean_gain)
+    spied.__set_name__(ChannelRealization, "mean_gain")
+    monkeypatch.setattr(ChannelRealization, "mean_gain", spied)
+    spec = small_spec(
+        strategies=(StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA),
+        axis="rho_e_db", axis_values=(0.0, 10.0, 20.0), ensemble=2, symbols_per_point=100,
+    )
+    run_sweep(spec)
+    assert len(computed) == 2  # one channel per ensemble index, read by 12 evaluations
+    ch = computed[0]
+    assert ch.mean_gain == receiver_reference_gain(ch, StrategyKind.JOINT_PATH_ANTENNA)
 
 
 def test_random_path_alignment_label_frequency():
@@ -687,6 +763,34 @@ def test_spec_rejects_a_run_or_every_ok_row_is_sound(kwargs):
         assert all(np.isfinite(values)), row
         assert row.stderr >= 0, row
         assert 0 <= row.rate_bps_hz <= np.log2(1 + 10 ** (row.snr_r_db / 10)) + 1e-9, row
+
+
+def _row(**kw):
+    fields = dict(snr_r_db=10.0, snr_e_db=0.0, rate_bps_hz=1.0, stderr=0.1)
+    return SweepRow(
+        StrategyKind.JOINT_PATH_ANTENNA, "rho_e_db", 12.5, **{**fields, **kw}, status="ok"
+    )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(snr_r_db=float("nan")), "snr_r_db is nan, not finite"),
+        (dict(snr_e_db=-np.inf), "snr_e_db is -inf, not finite"),
+        (dict(rate_bps_hz=np.inf), "secrecy_rate_bps_hz is inf, not finite"),
+        (dict(stderr=float("nan")), "stderr is nan, not finite"),
+        (dict(stderr=-0.5), "stderr is -0.5, below 0"),
+        (dict(rate_bps_hz=-1e-9), "secrecy_rate_bps_hz is -1e-09, outside [0, 3.45"),
+        (dict(rate_bps_hz=3.5), "secrecy_rate_bps_hz is 3.5, outside [0, 3.45"),
+    ],
+)
+def test_row_check_names_strategy_axis_value_and_field(fields, message):
+    # receiver SNR 10 (linear) caps the rate at log2(11) = 3.459
+    _check_row(_row(), 10.0)
+    _check_row(_row(rate_bps_hz=np.log2(11.0), stderr=0.0), 10.0)
+    with pytest.raises(ValueError) as err:
+        _check_row(_row(**fields), 10.0)
+    assert str(err.value).startswith("joint at rho-e 12.5: " + message)
 
 
 def test_rows_sorted_and_rates_valid():

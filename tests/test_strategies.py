@@ -36,8 +36,9 @@ def test_params_validation():
 
 def test_conventional_plan_is_static(channel):
     W, cand, steer = _beams(channel, CFG, StrategyKind.CONVENTIONAL, 16, 5)
-    row, _ = _draw_weights(StrategyKind.CONVENTIONAL, len(W), 32, 16, 20, np.random.default_rng(0))
-    assert len(W) == 1 and not row.any()  # every symbol sends the one row
+    rng = np.random.default_rng(0)
+    count, _ = _draw_weights(StrategyKind.CONVENTIONAL, len(W), 32, 16, 20, rng)
+    assert len(W) == 1 and count.tolist() == [20]  # every symbol sends the one row
     assert channel.aods_deg[cand[steer[0]]].tolist() == [THETA_R]
     assert np.array_equal(W[0], A_R)
     assert np.vdot(A_R, W[0]) == pytest.approx(1.0, abs=1e-12)
