@@ -23,7 +23,7 @@ import numpy as np
 
 from .array_geometry import ArrayConfig, centered_indices, cos_aligned, phase_diff
 from .channel import ChannelRealization
-from .strategies import StrategyParams, secondary_pool
+from .strategies import check_joint, secondary_pool
 
 
 def db_to_linear(x_db: float) -> float:
@@ -255,13 +255,9 @@ def joint_sidelobe_aods(
     interception with sidelobe observation at those angles (the
     pessimistic random-location model).
     """
-    pool = secondary_pool(ch, l_s)
-    covered = any(
-        cos_aligned(theta_e_deg, ch.paths[i].aod_deg) for i in [ch.strongest_index, *pool]
-    )
-    side = [
-        p.aod_deg for i, p in enumerate(ch.paths) if i != ch.strongest_index and i not in pool
-    ]
+    sent = [ch.strongest_index, *secondary_pool(ch, l_s)]
+    covered = any(cos_aligned(theta_e_deg, ch.aods_deg[i]) for i in sent)
+    side = [aod for i, aod in enumerate(ch.aods_deg.tolist()) if i not in sent]
     return covered, side
 
 
@@ -344,10 +340,7 @@ class JointBetaMoments:
 
 
 def estimate_joint_moments(
-    ch: ChannelRealization,
-    cfg: ArrayConfig,
-    params: StrategyParams,
-    theta_e_deg: float,
+    ch: ChannelRealization, cfg: ArrayConfig, m_main: int, l_s: int, theta_e_deg: float
 ) -> JointBetaMoments:
     """Exact beta moments over the uniform antenna subset and secondary path.
 
@@ -365,19 +358,19 @@ def estimate_joint_moments(
     path angles — the locations the unaligned mixture branch actually
     represents; otherwise they are taken at theta_e_deg.
     """
-    n, m = cfg.n_antennas, params.m_main
-    params.validate(n, ch.n_paths)
+    n, m = cfg.n_antennas, m_main
+    check_joint(m_main, l_s, n, ch.n_paths)
     f = m / n
     c = centered_indices(n)
     theta_s = ch.strongest_aod_deg
-    pool = secondary_pool(ch, params.l_s)
+    pool = secondary_pool(ch, l_s)
     pool_aods = ch.aods_deg[pool]
     # full-array secondary-vs-main Dirichlet sums, one per pool path
     d = np.exp(1j * np.outer(c, phase_diff(pool_aods, theta_s, cfg))).sum(axis=0)
     alpha_s = ch.gains[ch.strongest_index]
     beta_r = np.conj(alpha_s) * (1 - f) * d + np.conj(ch.gains[pool]) * f * np.conj(d)
     beta_hat = ((m + (1 - f) * d) + ((n - m) + f * np.conj(d))) / 2
-    covered, side_aods = joint_sidelobe_aods(ch, params.l_s, theta_e_deg)
+    covered, side_aods = joint_sidelobe_aods(ch, l_s, theta_e_deg)
     if not covered:
         side_aods = [theta_e_deg]
     if side_aods:

@@ -35,11 +35,15 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_antennas < 2:
             raise ValueError(f"n_antennas must be >= 2, got {self.n_antennas}")
-        if not 0 < self.spacing_over_wavelength <= 0.5:
-            raise ValueError(
-                "spacing_over_wavelength must lie in (0, 0.5], as wider spacing creates "
-                f"grating lobes; got {self.spacing_over_wavelength}"
-            )
+        check_spacing(self.spacing_over_wavelength)
+
+
+def check_spacing(spacing: float, name: str = "spacing_over_wavelength"):
+    """Raise ValueError, naming the setting, unless 0 < spacing <= 0.5."""
+    if not 0 < spacing <= 0.5:
+        raise ValueError(
+            f"{name} must lie in (0, 0.5], as wider spacing creates grating lobes; got {spacing}"
+        )
 
 
 def centered_indices(n: int) -> np.ndarray:

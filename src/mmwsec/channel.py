@@ -9,53 +9,51 @@ pinned at the configured receiver angle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 AOD_SET = np.arange(1, 181)
 
 
-@dataclass(frozen=True)
-class PathComponent:
-    aod_deg: float
-    gain: complex
-
-    def __post_init__(self):
-        if not 1.0 <= self.aod_deg <= 180.0:
-            raise ValueError(f"aod_deg must lie in [1, 180], got {self.aod_deg}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    paths: tuple[PathComponent, ...]
+    """L paths: departure angles aods_deg (L,) in degrees and complex gains
+    (L,), both held as read-only copies, and the index of the
+    largest-magnitude gain.  Compares and hashes by identity, so a memo
+    keyed by a realization never reads its arrays."""
+
+    aods_deg: np.ndarray
+    gains: np.ndarray
     strongest_index: int
 
     def __post_init__(self):
-        if len(self.paths) < 1:
+        aods, gains = np.array(self.aods_deg, dtype=float), np.array(self.gains, dtype=complex)
+        aods.flags.writeable = gains.flags.writeable = False
+        object.__setattr__(self, "aods_deg", aods)
+        object.__setattr__(self, "gains", gains)
+        if aods.ndim != 1 or aods.shape != gains.shape:
+            raise ValueError(
+                f"aods_deg {aods.shape} and gains {gains.shape} must be vectors of one length"
+            )
+        if len(aods) < 1:
             raise ValueError("at least one path required")
-        aods = [p.aod_deg for p in self.paths]
-        if len(set(aods)) != len(aods):
+        bad = aods[~((aods >= 1.0) & (aods <= 180.0))]
+        if bad.size:
+            raise ValueError(f"aods_deg must lie in [1, 180], got {bad[0]}")
+        if len(set(aods.tolist())) != len(aods):
             raise ValueError("path AoDs must be pairwise distinct")
-        mags = [abs(p.gain) for p in self.paths]
-        if abs(self.paths[self.strongest_index].gain) < max(mags) - 1e-15:
+        mags = np.abs(gains)
+        if mags[self.strongest_index] < mags.max() - 1e-15:
             raise ValueError("strongest_index does not hold the largest-magnitude gain")
 
     @property
     def n_paths(self) -> int:
-        return len(self.paths)
-
-    @property
-    def aods_deg(self) -> np.ndarray:
-        return np.array([p.aod_deg for p in self.paths])
-
-    @property
-    def gains(self) -> np.ndarray:
-        return np.array([p.gain for p in self.paths])
+        return len(self.aods_deg)
 
     @property
     def strongest_aod_deg(self) -> float:
-        return self.paths[self.strongest_index].aod_deg
+        return float(self.aods_deg[self.strongest_index])
 
     @functools.cached_property
     def mean_gain(self) -> float:
@@ -92,8 +90,7 @@ def sample_channel(L: int, theta_r_deg: float, rng: np.random.Generator) -> Chan
     imax = int(np.argmax(np.abs(gains)))
     gains[[0, imax]] = gains[[imax, 0]]
 
-    paths = tuple(PathComponent(float(a), complex(g)) for a, g in zip(aods, gains))
-    return ChannelRealization(paths=paths, strongest_index=0)
+    return ChannelRealization(aods, gains, strongest_index=0)
 
 
 def top_k_paths(ch: ChannelRealization, k: int) -> list[int]:

@@ -4,8 +4,9 @@ Configuration precedence is preset < config file < command-line flags.
 The config file's values and the flags are set on each run spec at once,
 so only the effective configuration is validated, and only by `SweepSpec`.
 Every run writes the result table plus a `<output>.meta` sidecar with the
-full effective configuration, which is sufficient to reproduce the CSV
-byte for byte.
+full effective configuration (the table's own spec), which is sufficient
+to reproduce the CSV byte for byte.  A run computes all of its tables
+before it writes any file, so a run that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .montecarlo import (
     ANALYTIC_STRATEGIES,
     AXIS_NAMES,
     DEFAULT_AXIS_VALUES,
+    ResultTable,
     SweepSpec,
     compare_analytic,
     figure_preset,
@@ -84,16 +86,12 @@ def parse_strategies(text: str) -> tuple[StrategyKind, ...]:
             "'all' stands alone: give it by itself, or list strategies from "
             f"{sorted(STRATEGY_NAMES)}"
         )
-    out = []
     for name in names:
         if name not in STRATEGY_NAMES:
             raise CliError(
                 f"unknown strategy {name!r}; choose from {sorted(STRATEGY_NAMES)}"
             )
-        if STRATEGY_NAMES[name] in out:  # one set of rows per strategy, so a repeat would vanish
-            raise CliError(f"strategies must be distinct, got {name} more than once")
-        out.append(STRATEGY_NAMES[name])
-    return tuple(out)
+    return tuple(STRATEGY_NAMES[name] for name in names)
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -185,14 +183,12 @@ def spec_metadata(spec: SweepSpec) -> dict[str, str]:
     return meta
 
 
-def write_outputs(table, spec: SweepSpec, output: str, verbose: bool):
-    ok_rows = [r for r in table.rows if r.status == "ok"]
-    if not ok_rows:
-        raise CliError("no applicable (strategy, axis value) combinations in this run")
+def write_outputs(table: ResultTable, output: str, verbose: bool):
+    """Write the table's CSV to output and its spec to `<output>.meta`."""
     out = Path(output)
     try:
         out.write_text(table.to_csv())
-        meta_lines = [f"{k}={v}" for k, v in spec_metadata(spec).items()]
+        meta_lines = [f"{k}={v}" for k, v in spec_metadata(table.spec).items()]
         Path(str(out) + ".meta").write_text("\n".join(meta_lines) + "\n")
     except OSError as e:
         raise CliError(f"cannot write output {output}: {e}") from e
@@ -200,22 +196,11 @@ def write_outputs(table, spec: SweepSpec, output: str, verbose: bool):
         print(f"wrote {out} ({len(table.rows)} rows)", file=sys.stderr)
 
 
-def _run_one(spec: SweepSpec, args: argparse.Namespace, output: str):
-    table = run_sweep(spec)
-    write_outputs(table, spec, output, args.verbose)
-    if args.analytic:
-        aspec = replace(
-            spec, strategies=tuple(s for s in spec.strategies if s in ANALYTIC_STRATEGIES)
-        )
-        atable = compare_analytic(aspec)
-        stem = Path(output)
-        apath = stem.with_name(stem.stem + "_analytic" + stem.suffix)
-        write_outputs(atable, aspec, str(apath), args.verbose)
-
-
 def run(args: argparse.Namespace) -> int:
-    """Run every curve of the figure or sweep; curve label "L4" writes
-    `<output stem>_L4<suffix>`, the label "" of a one-curve run `output`."""
+    """Run every curve of the figure or sweep, then write every table: curve
+    label "L4" writes `<output stem>_L4<suffix>`, the label "" of a
+    one-curve run `output`, and `--analytic` each curve's closed forms to
+    `<its stem>_analytic<suffix>`."""
     if args.command == "figure":
         specs = figure_preset(args.fig_id)
     else:
@@ -242,10 +227,19 @@ def run(args: argparse.Namespace) -> int:
             "no spread estimate",
             file=sys.stderr,
         )
-    out = Path(args.output)
+    out, tables = Path(args.output), {}  # output path -> table
     for label, spec in specs.items():
-        path = str(out.with_name(f"{out.stem}_{label}{out.suffix}")) if label else args.output
-        _run_one(spec, args, path)
+        path = out.with_name(f"{out.stem}_{label}{out.suffix}") if label else out
+        tables[path] = run_sweep(spec)
+        if args.analytic:
+            aspec = replace(
+                spec, strategies=tuple(s for s in spec.strategies if s in ANALYTIC_STRATEGIES)
+            )
+            tables[path.with_name(path.stem + "_analytic" + path.suffix)] = compare_analytic(aspec)
+    if any(all(r.status != "ok" for r in table.rows) for table in tables.values()):
+        raise CliError("no applicable (strategy, axis value) combinations in this run")
+    for path, table in tables.items():
+        write_outputs(table, str(path), args.verbose)
     return 0
 
 

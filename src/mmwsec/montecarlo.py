@@ -36,9 +36,10 @@ real-mask GEMM over each beam's run of one block, in GEMMs of
 receiver is one more observer row per beam, so each GEMM yields every
 observer's gain.  The deterministic part of a block (beams, alignment
 table, GEMM operands) is memoized per strategy for the last (channel,
-angles) key (`_operator`).  The sweep runs ensemble index, then axis
-point, then strategy, so the nine rho_E points of a figure share one build
-per strategy and one subset block per ensemble index, and only the beam
+angles) key (`_operator`), the channel by identity (its arrays are
+read-only).  The sweep runs ensemble index, then axis point, then
+strategy, so the nine rho_E points of a figure share one build per
+strategy and one subset block per ensemble index, and only the beam
 count draws are repeated per point.
 
 Noise floors are anchored per link-quality convention: the receiver's
@@ -73,9 +74,9 @@ from .analysis import (
     snr_r_joint,
     snr_r_random_path,
 )
-from .array_geometry import ArrayConfig, array_response, cos_aligned, steering_phases
+from .array_geometry import ArrayConfig, array_response, check_spacing, cos_aligned, steering_phases
 from .channel import AOD_SET, ChannelRealization, channel_stats, sample_channel
-from .strategies import StrategyKind, StrategyParams, secondary_pool
+from .strategies import StrategyKind, check_joint, secondary_pool
 
 DEFAULT_AXIS_VALUES = {
     "theta_e_deg": tuple(float(t) for t in range(1, 181)),
@@ -105,6 +106,13 @@ def _reject(name: str, values, ok, rule: str):
         raise ValueError(f"{name} {rule}, got {bad}")
 
 
+def _reject_repeats(name: str, values, show):
+    """Raise ValueError "<name> must be distinct, got <show(v), ...> more than once"."""
+    bad = ", ".join(show(v) for v, count in Counter(values).items() if count > 1)
+    if bad:
+        raise ValueError(f"{name} must be distinct, got {bad} more than once")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One curve.  Construction is a run's one validation: it raises
@@ -130,6 +138,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.strategies:
             raise ValueError("strategy set must be nonempty")
+        # one set of rows per strategy, so a repeat would vanish from the table
+        _reject_repeats("strategies", self.strategies, lambda s: s.value)
         if self.axis not in AXIS_NAMES:
             raise ValueError(f"axis must be one of {tuple(AXIS_NAMES)}, got {self.axis!r}")
         if not self.axis_values:
@@ -164,12 +174,8 @@ class SweepSpec:
             f"must lie in [1, {len(AOD_SET)}]",
         )
         # rows are keyed by (strategy, axis value), so a repeat would write a second estimate
-        repeated = [v for v, count in Counter(self.axis_values).items() if count > 1]
-        if repeated:
-            bad = ", ".join(f"{v:g}" for v in repeated)
-            raise ValueError(
-                f"{AXIS_NAMES[self.axis]} values must be distinct, got {bad} more than once"
-            )
+        _reject_repeats(f"{AXIS_NAMES[self.axis]} values", self.axis_values, lambda v: f"{v:g}")
+        check_spacing(self.spacing_over_wavelength, "spacing")
         if StrategyKind.JOINT_PATH_ANTENNA in self.strategies:
             if self.axis != "n_paths" and self.n_paths < 2:
                 raise ValueError(
@@ -214,6 +220,9 @@ class SweepRow:
 
 @dataclass
 class ResultTable:
+    """One sweep's rows and the spec that made them: all that its CSV and
+    `.meta` hold (`cli.write_outputs`)."""
+
     rows: list[SweepRow]
     spec: SweepSpec
 
@@ -370,7 +379,7 @@ def _beams(ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main:
         cand, steer = np.arange(L), np.arange(L)[:, None]
         B = array_response(cfg, ch.aods_deg[:, None])
     elif kind is StrategyKind.JOINT_PATH_ANTENNA:  # m-subset at the strongest, rest at a pool path
-        StrategyParams(m_main, l_s).validate(n, L)
+        check_joint(m_main, l_s, n, L)
         cand = np.array([ch.strongest_index, *secondary_pool(ch, l_s)])
         steer = np.stack([np.zeros(cand.size, dtype=int), np.arange(cand.size)], axis=1)
         B = array_response(cfg, ch.aods_deg[cand][:, None])
@@ -431,6 +440,7 @@ def _operator(
     the gain of B[s] plus m_main times that mean: the beam's mean gain over
     the m-subsets, with mask D[s] the zero-mean rest.  Memoized for the
     last key of each strategy, as read-only arrays: the sweep's only memo.
+    The channel enters the key by identity, so a hit reads no path.
     """
     B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
     n, L, T = cfg.n_antennas, ch.n_paths, len(angles)
@@ -546,7 +556,7 @@ def receiver_reference_gain(ch: ChannelRealization, kind: StrategyKind) -> float
     measures the all-path mean gain as in the path-hopping SNR formula.
     """
     if kind in (StrategyKind.CONVENTIONAL, StrategyKind.SWITCHED_ARRAY):
-        return abs(ch.paths[ch.strongest_index].gain)
+        return abs(ch.gains[ch.strongest_index])
     return ch.mean_gain
 
 
@@ -631,12 +641,15 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     axis index with that N (so only the antennas axis has more than one),
     whose whole mask the first masked strategy to read it draws, and
     dropped at the next array size or ensemble index, so one block is
-    alive at a time; on the rho_E axis every point also reuses each
-    strategy's memoized observation operator (`_operator`, the one memo),
-    which is cleared here, so nothing carries over from an earlier sweep.
-    Rates accumulate per strategy.  Every `ok` row is checked before the
-    table is returned (`_check_row`), so an unsound row stops the run
-    before anything is written.
+    alive at a time; each channel is drawn once per (path count, ensemble
+    index) and handed to every strategy and point as one object, so on the
+    rho_E axis every point also reuses each strategy's memoized
+    observation operator (`_operator`, the one memo, keyed by that
+    object), which is cleared here, so nothing carries over from an
+    earlier sweep.  Rates accumulate per strategy.  Every `ok` row is
+    checked before the table is returned (`_check_row`); the CLI computes
+    every table of a run before it writes any, so an unsound row in any
+    table stops the run before anything is written.
     """
     _operator.cache_clear()
     rho_r = db_to_linear(spec.rho_r_db)
@@ -780,14 +793,12 @@ def compare_analytic(spec: SweepSpec) -> ResultTable:
             )
             return snr_r, snr_e
         stats = channel_stats(ch)
-        moments = estimate_joint_moments(
-            ch, pt.cfg, StrategyParams(pt.m_main, pt.l_s), pt.theta_e_deg
-        )
+        moments = estimate_joint_moments(ch, pt.cfg, pt.m_main, pt.l_s, pt.theta_e_deg)
         snr_r = snr_r_joint(
             n_ant,
             pt.n_paths,
             pt.m_main,
-            abs(ch.paths[ch.strongest_index].gain),
+            abs(ch.gains[ch.strongest_index]),
             stats.mean_gain_excl_strongest,
             abs(moments.beta_r_mean) ** 2,
             stats.mean_gain**2 / pt.rho_r,

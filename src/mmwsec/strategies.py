@@ -1,5 +1,5 @@
-"""The four transmission strategies, the joint technique's knobs and its
-secondary-path candidate pool.
+"""The four transmission strategies, the check of the joint technique's
+knobs and its secondary-path candidate pool.
 
 Conventional and SwitchedArray always aim at the strongest path.
 RandomPath hops uniformly over all L paths each symbol.  JointPathAntenna
@@ -12,7 +12,6 @@ per-symbol weights.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .channel import ChannelRealization, top_k_paths
 
@@ -24,25 +23,18 @@ class StrategyKind(enum.Enum):
     JOINT_PATH_ANTENNA = "joint"
 
 
-@dataclass(frozen=True)
-class StrategyParams:
-    """Knobs of the joint technique: main-path antenna count and candidate pool size."""
-
-    m_main: int
-    l_s: int
-
-    def validate(self, n_antennas: int, n_paths: int):
-        # m_main == n_antennas is allowed as a degenerate boundary (empty
-        # secondary set, weights collapse to the conventional beam)
-        if not 1 <= self.m_main <= n_antennas:
-            raise ValueError(
-                f"m_main must lie in [1, {n_antennas}], got {self.m_main}"
-            )
-        if not 2 <= self.l_s <= n_paths:
-            raise ValueError(
-                f"l_s must lie in [2, {n_paths}], got {self.l_s}: the pool of the l_s "
-                "strongest paths includes the strongest, which is never a secondary path"
-            )
+def check_joint(m_main: int, l_s: int, n_antennas: int, n_paths: int):
+    """Raise ValueError unless the joint technique's knobs fit the array and
+    channel: main-path antenna count m_main and candidate pool size l_s."""
+    # m_main == n_antennas is allowed as a degenerate boundary (empty
+    # secondary set, weights collapse to the conventional beam)
+    if not 1 <= m_main <= n_antennas:
+        raise ValueError(f"m_main must lie in [1, {n_antennas}], got {m_main}")
+    if not 2 <= l_s <= n_paths:
+        raise ValueError(
+            f"l_s must lie in [2, {n_paths}], got {l_s}: the pool of the l_s "
+            "strongest paths includes the strongest, which is never a secondary path"
+        )
 
 
 def secondary_pool(ch: ChannelRealization, l_s: int) -> list[int]:

@@ -43,7 +43,7 @@ def receiver_gain(ch, cfg, w, paths):
 
 def full_channel_gain(ch, cfg, w):
     """h^H w with h built from the raw channel definition over all L paths."""
-    h = sum(p.gain * array_response(cfg, p.aod_deg) for p in ch.paths)
+    h = sum(g * array_response(cfg, aod) for aod, g in zip(ch.aods_deg, ch.gains))
     return complex(np.vdot(math.sqrt(cfg.n_antennas / ch.n_paths) * h, w))
 
 

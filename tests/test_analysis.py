@@ -33,7 +33,7 @@ from mmwsec.analysis import (
 from mmwsec.array_geometry import ArrayConfig
 from mmwsec.channel import channel_stats, sample_channel
 from mmwsec.montecarlo import simulate_streams
-from mmwsec.strategies import StrategyKind, StrategyParams, secondary_pool
+from mmwsec.strategies import StrategyKind, secondary_pool
 
 CFG = ArrayConfig(32)
 THETA_R = 40.0
@@ -154,7 +154,7 @@ def test_joint_aligned_term_below_random_path_aligned_term():
     rho_e = db_to_linear(15.0)
     full_beam = (1 / 12) * (rho_e * 32 / 12)
     ch = sample_channel(12, THETA_R, np.random.default_rng(53))
-    mom = estimate_joint_moments(ch, CFG, StrategyParams(16, 5), THETA_R)
+    mom = estimate_joint_moments(ch, CFG, 16, 5, THETA_R)
     assert mom.beta_e_hat_mean_sq < 32**2
     aligned = 2 * rho_e * mom.beta_e_hat_mean_sq / (12**2 * 32)
     assert aligned < 2 * full_beam  # probability 2/L vs 1/L on the same bound
@@ -211,16 +211,16 @@ def test_location_mixture_hand_example():
     )
 
 
-def _enumerated_joint_moments(ch, cfg, params, theta_e_deg):
+def _enumerated_joint_moments(ch, cfg, m_main, l_s, theta_e_deg):
     """The joint moments by brute force: every m-subset of antennas times
     every secondary candidate, each through the per-symbol beta terms."""
     n = cfg.n_antennas
-    covered, side = joint_sidelobe_aods(ch, params.l_s, theta_e_deg)
+    covered, side = joint_sidelobe_aods(ch, l_s, theta_e_deg)
     side = side if covered else [theta_e_deg]
     beta_r, beta_e, beta_hat = [], [], []
-    for comb in itertools.combinations(range(n), params.m_main):
+    for comb in itertools.combinations(range(n), m_main):
         main = np.isin(np.arange(n), comb)
-        for sec in secondary_pool(ch, params.l_s):
+        for sec in secondary_pool(ch, l_s):
             paths = (ch.strongest_index, sec)
             beta_r.append(beta_r_term(ch, cfg, main, paths))
             beta_e += [
@@ -252,15 +252,14 @@ def test_joint_moments_match_enumeration(n, L, seed, where, data):
     l_s = data.draw(st.integers(2, L), label="l_s")
     cfg = ArrayConfig(n)
     ch = sample_channel(L, THETA_R, np.random.default_rng(seed))
-    params = StrategyParams(m, l_s)
     if where == "strongest":
         theta_e = THETA_R
     elif where == "secondary":
-        theta_e = ch.paths[data.draw(st.sampled_from(secondary_pool(ch, l_s)), label="sec")].aod_deg
+        theta_e = ch.aods_deg[data.draw(st.sampled_from(secondary_pool(ch, l_s)), label="sec")]
     else:
         theta_e = float(data.draw(st.integers(1, 180), label="theta_e"))
-    got = estimate_joint_moments(ch, cfg, params, theta_e)
-    want = _enumerated_joint_moments(ch, cfg, params, theta_e)
+    got = estimate_joint_moments(ch, cfg, m, l_s, theta_e)
+    want = _enumerated_joint_moments(ch, cfg, m, l_s, theta_e)
     assert abs(got.beta_r_mean - want.beta_r_mean) <= 1e-12
     assert got.beta_e_mean_sq == pytest.approx(want.beta_e_mean_sq, abs=1e-12)
     assert got.beta_e_var == pytest.approx(want.beta_e_var, abs=1e-12)
@@ -306,7 +305,7 @@ def test_joint_snr_e_matches_monte_carlo():
     cf_vals, mc_vals = [], []
     for seed in range(60, 68):
         ch = sample_channel(12, THETA_R, np.random.default_rng(seed))
-        mom = estimate_joint_moments(ch, CFG, StrategyParams(16, 5), THETA_R)
+        mom = estimate_joint_moments(ch, CFG, 16, 5, THETA_R)
         cf_vals.append(
             snr_e_joint(
                 32, 12, 16, rho_e,
@@ -337,11 +336,11 @@ def test_joint_snr_r_matches_monte_carlo_in_ensemble():
         ch = sample_channel(12, THETA_R, np.random.default_rng(500 + seed))
         stats = channel_stats(ch)
         sigma_r = stats.mean_gain**2 / rho_r
-        mom = estimate_joint_moments(ch, CFG, StrategyParams(16, 12), THETA_R)
+        mom = estimate_joint_moments(ch, CFG, 16, 12, THETA_R)
         cf_vals.append(
             snr_r_joint(
                 32, 12, 16,
-                abs(ch.paths[ch.strongest_index].gain),
+                abs(ch.gains[ch.strongest_index]),
                 stats.mean_gain_excl_strongest,
                 abs(mom.beta_r_mean) ** 2,
                 sigma_r,

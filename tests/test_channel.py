@@ -5,7 +5,6 @@ import pytest
 
 from mmwsec.channel import (
     ChannelRealization,
-    PathComponent,
     channel_stats,
     sample_channel,
     top_k_paths,
@@ -16,9 +15,9 @@ THETA_R = 40.0
 
 def test_path_component_angle_range():
     with pytest.raises(ValueError):
-        PathComponent(0.5, 1.0 + 0j)
+        ChannelRealization([0.5], [1.0 + 0j], strongest_index=0)
     with pytest.raises(ValueError):
-        PathComponent(180.5, 1.0 + 0j)
+        ChannelRealization([180.5], [1.0 + 0j], strongest_index=0)
 
 
 def test_single_path_channel():
@@ -72,13 +71,20 @@ def test_infeasible_path_count():
 
 
 def test_realization_invariants_enforced():
-    paths = (PathComponent(40.0, 2.0 + 0j), PathComponent(50.0, 1.0 + 0j))
-    ChannelRealization(paths=paths, strongest_index=0)
+    aods, gains = np.array([40.0, 50.0]), np.array([2.0 + 0j, 1.0 + 0j])
+    ch = ChannelRealization(aods, gains, strongest_index=0)
     with pytest.raises(ValueError):
-        ChannelRealization(paths=paths, strongest_index=1)
-    dup = (PathComponent(40.0, 2.0 + 0j), PathComponent(40.0, 1.0 + 0j))
+        ChannelRealization(aods, gains, strongest_index=1)
     with pytest.raises(ValueError):
-        ChannelRealization(paths=dup, strongest_index=0)
+        ChannelRealization([40.0, 40.0], gains, strongest_index=0)
+    with pytest.raises(ValueError, match="must be vectors of one length"):
+        ChannelRealization(aods, gains[:1], strongest_index=0)
+    # the identity-keyed operator memo and the cached mean gain need arrays that never change
+    aods[0] = 60.0
+    assert ch.aods_deg.tolist() == [40.0, 50.0]
+    for held in (ch.aods_deg, ch.gains):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 1.0
 
 
 def test_top_k_paths_basics():
@@ -102,18 +108,14 @@ def test_top_k_matches_sort_oracle():
 
 
 def test_top_k_tie_breaks_to_lower_index():
-    paths = (
-        PathComponent(40.0, 2.0 + 0j),
-        PathComponent(50.0, 1.0 + 0j),
-        PathComponent(60.0, 0.0 + 1.0j),
+    ch = ChannelRealization(
+        [40.0, 50.0, 60.0], [2.0 + 0j, 1.0 + 0j, 0.0 + 1.0j], strongest_index=0
     )
-    ch = ChannelRealization(paths=paths, strongest_index=0)
     assert top_k_paths(ch, 3) == [0, 1, 2]
 
 
 def test_channel_stats_arithmetic():
-    paths = (PathComponent(40.0, 2.0 + 0j), PathComponent(50.0, 0.0 + 1.0j))
-    ch = ChannelRealization(paths=paths, strongest_index=0)
+    ch = ChannelRealization([40.0, 50.0], [2.0 + 0j, 0.0 + 1.0j], strongest_index=0)
     stats = channel_stats(ch)
     assert stats.mean_gain == pytest.approx(1.5)
     assert stats.mean_gain_excl_strongest == pytest.approx(1.0)
@@ -127,7 +129,7 @@ def test_channel_stats_single_path_excl_absent():
 def test_channel_stats_recompute_oracle():
     ch = sample_channel(12, THETA_R, np.random.default_rng(9))
     stats = channel_stats(ch)
-    mags = [abs(p.gain) for p in ch.paths]
+    mags = [abs(g) for g in ch.gains]
     assert stats.mean_gain == pytest.approx(sum(mags) / 12, abs=1e-12)
     others = [m for i, m in enumerate(mags) if i != ch.strongest_index]
     assert stats.mean_gain_excl_strongest == pytest.approx(sum(others) / 11, abs=1e-12)

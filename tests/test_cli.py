@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mmwsec import montecarlo
+from mmwsec.channel import sample_channel
 from mmwsec.cli import main, parse_strategies
 from mmwsec.montecarlo import ResultTable
 from mmwsec.strategies import StrategyKind
@@ -406,14 +407,32 @@ GOLDEN_COMMANDS = {
 
 
 def test_an_unsound_row_stops_the_run_before_any_write(tmp_path, capsys, monkeypatch):
-    # an estimator that returns nan makes the row's eavesdropper SNR -inf dB
-    monkeypatch.setattr(montecarlo, "alignment_mixture_snr", lambda *args: float("nan"))
-    out = tmp_path / "out"
-    out.mkdir()
-    argv = ["sweep", "--axis", "rho-e", "--values", "0,10", "--strategies", "conventional"]
-    assert run_cli([*argv, *FAST, "-o", str(out / "x.csv")]) == 2
-    assert "error: conventional at rho-e 0: snr_e_db is -inf, not finite" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    # an estimator that returns nan makes the row's eavesdropper SNR -inf dB; a
+    # failure in a later table (the closed forms, figure 1's last curve) used to
+    # leave the earlier tables' files behind
+    def nan(*args):
+        return float("nan")
+
+    def no_channel_at_12(L, *args):
+        if L == 12:
+            raise ValueError("no channel at L = 12")
+        return sample_channel(L, *args)
+
+    cases = [
+        ("alignment_mixture_snr", nan, ["sweep", "--axis", "rho-e", "--values", "0,10",
+         "--strategies", "conventional"], "conventional at rho-e 0: snr_e_db is -inf, not finite"),
+        ("snr_e_joint", nan, ["sweep", "--axis", "rho-e", "--values", "10", "--strategies",
+         "joint", "--analytic"], "joint at rho-e 10: snr_e_db is -inf, not finite"),
+        ("sample_channel", no_channel_at_12, ["figure", "1"], "no channel at L = 12"),
+    ]
+    for i, (name, patched, argv, message) in enumerate(cases):
+        out = tmp_path / str(i)
+        out.mkdir()
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, name, patched)
+            assert run_cli([*argv, *FAST, "-o", str(out / "x.csv")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == [], argv
 
 
 def test_outputs_match_golden_bytes(tmp_path):

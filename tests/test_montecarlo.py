@@ -72,6 +72,9 @@ def test_spec_validation():
         small_spec(ensemble=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         small_spec(base_seed=-1)
+    for spacing in (0.0, 0.51, float("nan")):  # ArrayConfig's rule, named by its flag
+        with pytest.raises(ValueError, match=f"spacing must lie in \\(0, 0.5\\].*got {spacing}"):
+            small_spec(spacing_over_wavelength=spacing)
 
 
 @pytest.mark.parametrize("axis, name", [("n_antennas", "antennas"), ("n_paths", "paths")])
@@ -89,12 +92,19 @@ def test_count_axes_reject_fractional_and_non_finite_values(axis, name, bad):
         ("theta_e_deg", "theta-e", (40.0, 55.0, 40.0)),
         ("n_antennas", "antennas", (16.0, 32.0, 16.0)),
         ("n_paths", "paths", (4.0, 4.0)),
+        ("strategies", "strategies", tuple(map(StrategyKind, ["joint", "conventional", "joint"]))),
     ],
 )
 def test_axis_values_must_be_distinct(axis, name, values):
-    # rows are keyed by (strategy, axis value): a repeat would write two rows under one key
-    with pytest.raises(ValueError, match=f"{name} values must be distinct, got {values[0]:g}"):
-        small_spec(axis=axis, axis_values=values)
+    # rows are keyed by (strategy, axis value): a repeat would write two rows under one key,
+    # and a repeated strategy used to return one set of rows
+    if axis == "strategies":
+        kwargs, message = dict(strategies=values), "strategies must be distinct, got joint"
+    else:
+        kwargs = dict(axis=axis, axis_values=values)
+        message = f"{name} values must be distinct, got {values[0]:g}"
+    with pytest.raises(ValueError, match=message + " more than once"):
+        small_spec(**kwargs)
 
 
 def test_figure_presets_match_captions():
@@ -207,7 +217,7 @@ def test_subset_draw_keeps_its_element_budget_at_large_n(monkeypatch):
 
 def test_receiver_reference_gain_convention():
     ch = sample_channel(12, THETA_R, np.random.default_rng(71))
-    strongest = abs(ch.paths[ch.strongest_index].gain)
+    strongest = abs(ch.gains[ch.strongest_index])
     mean_all = np.abs(ch.gains).mean()
     assert receiver_reference_gain(ch, StrategyKind.CONVENTIONAL) == strongest
     assert receiver_reference_gain(ch, StrategyKind.SWITCHED_ARRAY) == strongest

@@ -98,7 +98,7 @@ def test_dirichlet_real_and_bounded():
 
 def test_single_path_conventional_gain():
     ch = sample_channel(1, THETA_R, np.random.default_rng(33))
-    want = np.conj(ch.paths[0].gain) * np.sqrt(32)
+    want = np.conj(ch.gains[0]) * np.sqrt(32)
     (w,), _ = sent_symbols(ch, CFG, StrategyKind.CONVENTIONAL, 16, 5, 1, 0)
     assert full_channel_gain(ch, CFG, w) == pytest.approx(want, abs=1e-9)
     moments = streams(ch, StrategyKind.CONVENTIONAL, [THETA_R], 1, 0).moments

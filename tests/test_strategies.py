@@ -1,4 +1,4 @@
-"""Unit tests for the strategy parameters and for the weight rows each
+"""Unit tests for the joint technique's knob check and for the weight rows each
 strategy sends in the Monte Carlo kernel (`montecarlo._beams`,
 `montecarlo._draw_weights`)."""
 
@@ -11,7 +11,7 @@ from oracle import joint_symbols, sent_symbols
 from mmwsec.array_geometry import ArrayConfig, array_response
 from mmwsec.channel import sample_channel, top_k_paths
 from mmwsec.montecarlo import _beams, _draw_weights, simulate_streams
-from mmwsec.strategies import StrategyKind, StrategyParams, secondary_pool
+from mmwsec.strategies import StrategyKind, check_joint, secondary_pool
 
 THETA_R = 40.0
 CFG = ArrayConfig(32)
@@ -24,14 +24,14 @@ def channel():
 
 
 def test_params_validation():
-    StrategyParams(m_main=16, l_s=5).validate(32, 12)
-    StrategyParams(m_main=32, l_s=5).validate(32, 12)  # full-array boundary
+    check_joint(m_main=16, l_s=5, n_antennas=32, n_paths=12)
+    check_joint(m_main=32, l_s=5, n_antennas=32, n_paths=12)  # full-array boundary
     with pytest.raises(ValueError):
-        StrategyParams(m_main=0, l_s=5).validate(32, 12)
+        check_joint(m_main=0, l_s=5, n_antennas=32, n_paths=12)
     with pytest.raises(ValueError):
-        StrategyParams(m_main=33, l_s=5).validate(32, 12)
+        check_joint(m_main=33, l_s=5, n_antennas=32, n_paths=12)
     with pytest.raises(ValueError):
-        StrategyParams(m_main=16, l_s=13).validate(32, 12)
+        check_joint(m_main=16, l_s=13, n_antennas=32, n_paths=12)
 
 
 def test_conventional_plan_is_static(channel):
@@ -132,9 +132,9 @@ def test_joint_plan_needs_two_paths():
 
 def test_params_need_a_secondary_candidate():
     # the pool of the l_s strongest paths includes the strongest path itself
-    StrategyParams(m_main=16, l_s=2).validate(32, 12)
+    check_joint(m_main=16, l_s=2, n_antennas=32, n_paths=12)
     with pytest.raises(ValueError, match="l_s must lie in \\[2, 12\\]"):
-        StrategyParams(m_main=16, l_s=1).validate(32, 12)
+        check_joint(m_main=16, l_s=1, n_antennas=32, n_paths=12)
 
 
 def test_plans_deterministic_given_seed(channel):
