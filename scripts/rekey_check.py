@@ -7,7 +7,8 @@ every written file has the same bytes.  For the rows of a CSV that
 differ, it prints per strategy how many changed and the worst
 |delta rate| / hypot(SE, SE_other).  A row whose two SEs are both 0
 counts as 0 if the rates agree and as infinite otherwise; a row missing
-or inapplicable on one side counts as infinite.  Prints one JSON object.
+or inapplicable on one side counts as infinite.  Prints one JSON object,
+and exits 1 if any file differs, else 0.
 
     python3 scripts/rekey_check.py --src OTHER/src
 """
@@ -78,15 +79,16 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="the other checkout's src/")
     args = parser.parse_args(argv)
     commands = json.loads(COMMANDS.read_text())["same_bytes"]["commands"]
-    report = {}
+    report, differs = {}, False
     with tempfile.TemporaryDirectory() as tmp:
         for name, command in commands.items():
             argv_ = shlex.split(command)[1:]  # drop the program name
             ours = run(str(ROOT / "src"), argv_, Path(tmp, "this", name))
             theirs = run(args.src, argv_, Path(tmp, "other", name))
             report[name] = {"command": command, **compare(ours, theirs)}
+            differs |= ours != theirs
     print(json.dumps({"this": str(ROOT / "src"), "other": args.src, "commands": report}, indent=1))
-    return 0
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

@@ -3,44 +3,25 @@
 A sweep (`SweepSpec`) is one curve: one table of (strategy, axis value)
 rows.  A figure preset is a family of curves, one run spec per curve
 (`figure_preset`).  Each sweep point simulates a block of symbols per
-(strategy, channel realization) with vectorized kernels, estimates both
-observers' SNRs and averages the clamped secrecy rate over the channel
-ensemble.  Random streams are keyed so results are reproducible and
-schedule-independent:
+(strategy, channel realization), estimates both observers' SNRs and
+averages the clamped secrecy rate over the channel ensemble.  Random
+streams are keyed so results are reproducible and schedule-independent:
 
 - a channel by (base seed, role, path count, ensemble index), so a sweep
   draws each one once and shares it across strategies and axis points;
-- a strategy's beam counts (random-path's per-path counts, joint's
-  per-pool-beam counts) by (base seed, role, strategy, axis index,
-  ensemble index), a stream built only when a draw reads it;
+- a strategy's beam counts by (base seed, role, strategy, axis index,
+  ensemble index);
 - the antenna subsets of the switched and joint schemes by (base seed,
-  role, j, ensemble index), where j is the first axis index with the
-  point's array size N, not by strategy or axis point: at one ensemble
-  index every point of one N sends the same m-subset per symbol
+  role, j, ensemble index), j the first axis index with the point's
+  array size N, not by strategy or axis point: at one ensemble index
+  every point of one N sends the same m-subset per symbol
   (`SubsetBlock`), so schemes and points compare on common random
   numbers, and no row depends on which other strategies a sweep requests.
 
-`simulate_streams` evaluates one observation law on factored weight rows
-(`_draw_weights`): how many symbols send each beam, plus, for the
-switched and joint schemes, a per-symbol antenna subset.  The receiver
-knows the schedule, so a block's symbols are exchangeable and only the
-per-beam counts are drawn: beam s is sent by a contiguous run of symbols.
-It hands the estimators per-beam moments, not per-symbol gains: symbols
-on one beam s share its deterministic gain G[s], so each observer's
-count, mean and M2 split by beam, and the estimators pool beams into
-groups by total variance (`analysis.BeamMoments`).  Conventional and
-random-path moments follow from the beam counts and G alone.  The masked
-schemes apply the subsets (drawn whole, `SubsetBlock.mask`) in place as a
-real-mask GEMM over each beam's run of one block, in GEMMs of
-`_chunk_symbols` rows, and reduce each beam's rows to its sums.  The
-receiver is one more observer row per beam, so each GEMM yields every
-observer's gain.  The deterministic part of a block (beams, alignment
-table, GEMM operands) is memoized per strategy for the last (channel,
-angles) key (`_operator`), the channel by identity (its arrays are
-read-only).  The sweep runs ensemble index, then axis point, then
-strategy, so the nine rho_E points of a figure share one build per
-strategy and one subset block per ensemble index, and only the beam
-count draws are repeated per point.
+The receiver knows the schedule, so a block's symbols are exchangeable:
+only how many symbols send each beam is drawn (`_draw_weights`), and
+`simulate_streams` hands the estimators per-beam moments
+(`analysis.BeamMoments`), not per-symbol gains.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -117,7 +98,7 @@ def _reject_repeats(name: str, values, show):
 class SweepSpec:
     """One curve.  Construction is a run's one validation: it raises
     ValueError, naming the flag, for every setting or axis value the sweep
-    cannot evaluate (`_strategy_applicable` leaves only per-point cases)."""
+    cannot evaluate (`_Point.applicable` leaves only per-point cases)."""
 
     strategies: tuple[StrategyKind, ...]
     axis: str
@@ -145,9 +126,9 @@ class SweepSpec:
         if not self.axis_values:
             raise ValueError("axis values must be nonempty")
         if self.symbols_per_point < 100:
-            raise ValueError("symbols_per_point must be >= 100")
+            raise ValueError(f"symbols must be >= 100, got {self.symbols_per_point}")
         if self.ensemble < 1:
-            raise ValueError("ensemble must be >= 1")
+            raise ValueError(f"ensemble must be >= 1, got {self.ensemble}")
         if self.base_seed < 0:  # numpy's SeedSequence would reject it without naming it
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
         # only cos(theta) enters the model, so an angle outside [1, 180] would
@@ -195,15 +176,12 @@ class SweepSpec:
                 f"m-main must lie in [1, antennas]; got m-main={self.m_main}, "
                 f"antennas={self.n_antennas}"
             )
-        if self.axis != "n_paths" and not 1 <= self.l_s:
+        if self.l_s < 1:
             raise ValueError(f"ls must be >= 1, got {self.l_s}")
 
     def values_of(self, field: str) -> tuple:
         """Every value of `field` the sweep evaluates: the axis values on its axis."""
         return self.axis_values if field == self.axis else (getattr(self, field),)
-
-    def resolved_m(self, n_antennas: int) -> int:
-        return self.m_main if self.m_main is not None else n_antennas // 2
 
 
 @dataclass(frozen=True)
@@ -580,9 +558,8 @@ def _subset_rng(spec: SweepSpec, axis_idx: int, ens: int) -> np.random.Generator
 
 @dataclass(frozen=True)
 class _Point:
-    """One applicable (strategy, axis value) point; rho_r and rho_e are linear."""
+    """One axis value's settings; rho_r and rho_e are linear."""
 
-    strategy: StrategyKind
     cfg: ArrayConfig
     n_paths: int
     m_main: int
@@ -591,14 +568,28 @@ class _Point:
     rho_r: float
     rho_e: float
 
+    @classmethod
+    def at(cls, spec: SweepSpec, value: float) -> _Point:
+        """The point at one axis value: m is m_main, or N // 2, and l_s is min(ls, L)."""
+        v = {spec.axis: int(value) if spec.axis in ("n_antennas", "n_paths") else float(value)}
+        n, L = v.get("n_antennas", spec.n_antennas), v.get("n_paths", spec.n_paths)
+        return cls(
+            ArrayConfig(n, spec.spacing_over_wavelength),
+            L,
+            n // 2 if spec.m_main is None else spec.m_main,
+            min(spec.l_s, L),
+            v.get("theta_e_deg", spec.theta_e_deg),
+            db_to_linear(spec.rho_r_db),
+            db_to_linear(v.get("rho_e_db", spec.rho_e_db)),
+        )
 
-def _strategy_applicable(kind: StrategyKind, spec: SweepSpec, n_antennas: int, n_paths: int):
-    # `SweepSpec` rejects every other infeasible run: only an antennas-axis N
-    # below m, or a paths-axis L below 2 for joint, makes one point inapplicable
-    if kind in (StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA):
-        if spec.resolved_m(n_antennas) > n_antennas:
-            return False
-    return kind is not StrategyKind.JOINT_PATH_ANTENNA or n_paths >= 2
+    def applicable(self, kind: StrategyKind) -> bool:
+        # `SweepSpec` rejects every other infeasible run: only an antennas-axis N
+        # below m, or a paths-axis L below 2 for joint, makes a point inapplicable
+        if kind in (StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA):
+            if self.m_main > self.cfg.n_antennas:
+                return False
+        return kind is not StrategyKind.JOINT_PATH_ANTENNA or self.n_paths >= 2
 
 
 def _check_row(row: SweepRow, snr_r: float):
@@ -630,81 +621,42 @@ def _check_row(row: SweepRow, snr_r: float):
 def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     """The sweep loop shared by `run_sweep` and `compare_analytic`.
 
-    evaluate(point, ch, plan, subsets) returns one channel's linear
+    evaluate(kind, point, ch, plan, subsets) returns one channel's linear
     (snr_r, snr_e); plan is a function of no arguments that builds the plan
-    stream of that (strategy, axis value, channel), which only a draw that
-    reads the stream calls (`_draw_weights`: random-path and joint), and
-    subsets the `SubsetBlock` of that (array size, ensemble index), which only the
-    Monte Carlo evaluation reads.  The loop runs ensemble index, then axis
-    point, then strategy: every strategy and axis point with one array
-    size N shares one subset block per ensemble index, keyed by the first
-    axis index with that N (so only the antennas axis has more than one),
-    whose whole mask the first masked strategy to read it draws, and
-    dropped at the next array size or ensemble index, so one block is
-    alive at a time; each channel is drawn once per (path count, ensemble
-    index) and handed to every strategy and point as one object, so on the
-    rho_E axis every point also reuses each strategy's memoized
-    observation operator (`_operator`, the one memo, keyed by that
-    object), which is cleared here, so nothing carries over from an
-    earlier sweep.  Rates accumulate per strategy.  Every `ok` row is
-    checked before the table is returned (`_check_row`); the CLI computes
-    every table of a run before it writes any, so an unsound row in any
-    table stops the run before anything is written.
+    stream of that (strategy, axis value, channel), and subsets the
+    `SubsetBlock` of that (array size, ensemble index), keyed by the first
+    axis index with that N.  The loop runs ensemble index, then axis point,
+    then strategy, and draws each channel once per (path count, ensemble
+    index) as one object for every strategy and point, so on the rho_E
+    axis each strategy's `_operator` memo hits at every point; the memo is
+    cleared here so nothing carries over from an earlier sweep.  Every `ok`
+    row is checked before the table is returned (`_check_row`).
     """
     _operator.cache_clear()
-    rho_r = db_to_linear(spec.rho_r_db)
-    points = {}  # per strategy, per axis value: its point, or None if inapplicable
-    for strat in spec.strategies:
-        points[strat] = []
-        for value in spec.axis_values:
-            p = {
-                "n_antennas": spec.n_antennas,
-                "n_paths": spec.n_paths,
-                "theta_e_deg": spec.theta_e_deg,
-                "rho_e_db": spec.rho_e_db,
-            }
-            p[spec.axis] = int(value) if spec.axis in ("n_antennas", "n_paths") else float(value)
-            n_ant, n_pth = p["n_antennas"], p["n_paths"]
-            pt = None
-            if _strategy_applicable(strat, spec, n_ant, n_pth):
-                pt = _Point(
-                    strat,
-                    ArrayConfig(n_ant, spec.spacing_over_wavelength),
-                    n_pth,
-                    spec.resolved_m(n_ant),
-                    min(spec.l_s, n_pth),
-                    p["theta_e_deg"],
-                    rho_r,
-                    db_to_linear(p["rho_e_db"]),
-                )
-            points[strat].append(pt)
-    # array size per axis value, from the spec alone, so no key depends on applicability;
-    # the sizes are all equal, or all distinct on the antennas axis
-    sizes = [int(v) if spec.axis == "n_antennas" else spec.n_antennas for v in spec.axis_values]
-    # per strategy: rate, snr_r and snr_e per (axis value, ensemble index)
-    acc = {strat: np.empty((3, len(spec.axis_values), spec.ensemble)) for strat in points}
+    points = [_Point.at(spec, v) for v in spec.axis_values]
+    # rate, snr_r and snr_e per (strategy, axis value, ensemble index)
+    acc = np.empty((len(spec.strategies), 3, len(points), spec.ensemble))
     for ens in range(spec.ensemble):
         channels = {}  # path count -> channel: one draw serves every strategy and point
-        for axis_idx, n in enumerate(sizes):
-            if sizes.index(n) == axis_idx:  # the first point of this size keys a new block
-                subsets = SubsetBlock(_subset_rng(spec, axis_idx, ens))
-            for strat, pts in points.items():
-                pt = pts[axis_idx]
-                if pt is None:
+        for i, pt in enumerate(points):
+            # antennas-axis values are distinct, and off that axis every point has one N
+            if i == 0 or spec.axis == "n_antennas":
+                subsets = SubsetBlock(_subset_rng(spec, i, ens))
+            for s, strat in enumerate(spec.strategies):
+                if not pt.applicable(strat):
                     continue
                 ch = channels.get(pt.n_paths)
                 if ch is None:
                     ch = channels[pt.n_paths] = sample_channel(
                         pt.n_paths, spec.theta_r_deg, _channel_rng(spec, pt.n_paths, ens)
                     )
-                plan = functools.partial(_plan_rng, spec, strat, axis_idx, ens)
-                snr_r, snr_e = evaluate(pt, ch, plan, subsets)
-                acc[strat][:, axis_idx, ens] = secrecy_rate(snr_r, snr_e), snr_r, snr_e
+                plan = functools.partial(_plan_rng, spec, strat, i, ens)
+                snr_r, snr_e = evaluate(strat, pt, ch, plan, subsets)
+                acc[s, :, i, ens] = secrecy_rate(snr_r, snr_e), snr_r, snr_e
     rows = []
-    for strat, pts in points.items():
-        rates, snr_r_acc, snr_e_acc = acc[strat]
-        for i, (value, pt) in enumerate(zip(spec.axis_values, pts)):
-            if pt is None:
+    for strat, (rates, snr_r_acc, snr_e_acc) in zip(spec.strategies, acc):
+        for i, (value, pt) in enumerate(zip(spec.axis_values, points)):
+            if not pt.applicable(strat):
                 rows.append(
                     SweepRow(strat, spec.axis, float(value), None, None, None, None, "inapplicable")
                 )
@@ -740,22 +692,22 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     joint) or L below 2 (joint) yields a row flagged inapplicable.
     """
 
-    def evaluate(pt: _Point, ch: ChannelRealization, plan, subsets):
+    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, plan, subsets):
         # Under the pessimistic random-location model, an eavesdropper
         # sitting on a transmit angle of the joint scheme mixes mainlobe
         # interception (probability 2/L) with sidelobe observation at
         # the non-transmitted path angles; those angles get their own
         # simulated gain streams.
         joint_mix, theta_list = False, [pt.theta_e_deg]
-        if pt.strategy is StrategyKind.JOINT_PATH_ANTENNA:
+        if kind is StrategyKind.JOINT_PATH_ANTENNA:
             joint_mix, side = joint_sidelobe_aods(ch, pt.l_s, pt.theta_e_deg)
             if joint_mix:
                 theta_list += side
         streams = simulate_streams(
-            ch, pt.cfg, pt.strategy, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, plan,
+            ch, pt.cfg, kind, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, plan,
             subsets,
         )
-        sigma_r = receiver_reference_gain(ch, pt.strategy) ** 2 / pt.rho_r
+        sigma_r = receiver_reference_gain(ch, kind) ** 2 / pt.rho_r
         snr_r = receiver_snr(streams.recv_abs_sum, spec.symbols_per_point, sigma_r)
         eve, aligned = streams.moments.at(0), streams.table[0]
         if joint_mix:
@@ -784,9 +736,9 @@ def compare_analytic(spec: SweepSpec) -> ResultTable:
         if strat not in ANALYTIC_STRATEGIES:
             raise ValueError(f"compare_analytic supports {ANALYTIC_STRATEGIES}, got {strat}")
 
-    def evaluate(pt: _Point, ch: ChannelRealization, _plan, _subsets):
+    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, _plan, _subsets):
         n_ant = pt.cfg.n_antennas
-        if pt.strategy is StrategyKind.RANDOM_PATH:
+        if kind is StrategyKind.RANDOM_PATH:
             snr_r = snr_r_random_path(n_ant, pt.n_paths, pt.rho_r)
             snr_e = snr_e_random_path(
                 n_ant, pt.n_paths, pt.rho_e, pt.theta_e_deg, ch.aods_deg, pt.cfg

@@ -66,12 +66,17 @@ def test_spec_validation():
         small_spec(axis="bogus")
     with pytest.raises(ValueError):
         small_spec(axis_values=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symbols must be >= 100, got 99"):
         small_spec(symbols_per_point=99)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ensemble must be >= 1, got 0"):
         small_spec(ensemble=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         small_spec(base_seed=-1)
+    for axis in ("rho_e_db", "n_paths"):  # the paths axis takes min(ls, L), still >= 1
+        with pytest.raises(ValueError, match="ls must be >= 1, got -3"):
+            small_spec(
+                strategies=(StrategyKind.CONVENTIONAL,), axis=axis, axis_values=(4.0, 12.0), l_s=-3
+            )
     for spacing in (0.0, 0.51, float("nan")):  # ArrayConfig's rule, named by its flag
         with pytest.raises(ValueError, match=f"spacing must lie in \\(0, 0.5\\].*got {spacing}"):
             small_spec(spacing_over_wavelength=spacing)
@@ -448,7 +453,7 @@ def test_operator_memo_is_read_only_and_cleared_per_sweep():
                 assert not a.flags.writeable
     sizes = []
 
-    def evaluate(pt, ch, rng, subsets):
+    def evaluate(kind, pt, ch, rng, subsets):
         if not sizes:
             sizes.append((montecarlo._operator.cache_info().currsize, subsets._mask is None))
         return 1.0, 0.5
@@ -460,6 +465,11 @@ def test_operator_memo_is_read_only_and_cleared_per_sweep():
 SHARING_SPECS = [
     dict(axis="rho_e_db", axis_values=(0.0, 10.0, 20.0)),
     dict(axis="n_antennas", axis_values=(16.0, 32.0), theta_e_deg=55.0),
+    # switched and joint are inapplicable at N = 8, beside blocks of the other sizes
+    pytest.param(
+        dict(axis="n_antennas", axis_values=(8.0, 16.0, 32.0), m_main=12, theta_e_deg=55.0),
+        id="n_antennas-inapplicable",
+    ),
     # joint is inapplicable at L = 1, so its block key must not come from its own points
     dict(axis="n_paths", axis_values=(1.0, 2.0, 12.0)),
 ]
@@ -525,7 +535,10 @@ def test_switched_and_joint_read_one_subset_block_per_array_size_and_channel(
     # each block is one whole draw keyed by the first axis index of its N, so
     # the antennas axis keeps one stream per axis index
     keyed = [
-        spied(montecarlo._subset_rng(spec, j, ens), K, n, spec.resolved_m(n))
+        spied(
+            montecarlo._subset_rng(spec, j, ens), K, n,
+            montecarlo._Point.at(spec, spec.axis_values[j]).m_main,
+        )
         for ens in range(ensemble)
         for j, n in enumerate(sizes)
     ]
@@ -554,7 +567,7 @@ def test_sweep_hands_over_uniform_subsets():
     # each antenna sits on the main beam m/N of the time in the block the sweep hands over
     seen = []
 
-    def evaluate(pt, ch, rng, subsets):
+    def evaluate(kind, pt, ch, rng, subsets):
         if not seen:
             K, n = 10_000, pt.cfg.n_antennas
             seen.append(subsets.mask(K, n, pt.m_main))
