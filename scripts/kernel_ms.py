@@ -8,14 +8,20 @@ estimator calls the sweep makes on it: the receiver SNR, and the
 alignment mixture at 40 degrees (switched) or the location mixture with
 55 degrees as its sidelobe angle (joint).  The block and the estimates
 are timed as one, as the sweep runs them.  Every call draws a fresh
-channel, so no call reuses an operator built by the one before.  Prints
-one JSON object with the median milliseconds and the median minor page
-faults (`ru_minflt` of this process) over REPS calls per configuration
-(fewer at N = 1024).  It gives no fault count at N = 1024: there glibc's
-dynamic mmap and trim thresholds decide whether a block's operator and
-10 MB mask come back from the heap or from fresh pages, so the count
-follows the allocator's state, not the kernel (runs of two trees read
-from 0 to 144 faults per joint block).
+channel.  Prints one JSON object with the median milliseconds and the
+median minor page faults (`ru_minflt` of this process) over REPS calls
+per configuration (fewer at N = 1024).  It gives no fault count at
+N = 1024: there glibc's dynamic mmap and trim thresholds decide whether a
+block's operator and 10 MB mask come back from the heap or from fresh
+pages, so the count follows the allocator's state, not the kernel (runs
+of two trees read from 0 to 144 faults per joint block).
+
+Beside them, `figure3_ms` times the pattern of figure 3's nine rho_E
+points: nine calls on one channel and one `SubsetBlock`, each with its own
+plan stream, switched and joint (l_s = 5) at every N, with their
+estimates; the median milliseconds of the nine together.  Where
+`simulate_streams` takes a `KernelBlock`, the nine calls share one, as
+the sweep's do.
 
     python3 scripts/kernel_ms.py                      # this checkout's src/
     python3 scripts/kernel_ms.py --src OTHER/src      # another checkout
@@ -24,6 +30,7 @@ from 0 to 144 faults per joint block).
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import resource
@@ -38,6 +45,7 @@ ANTENNAS = (16, 32, 64, 256, 1024)
 POOLS = (5, 12)
 K, L, THETA_R, ANGLES, NOISE = 10_000, 12, 40.0, (40.0, 55.0), 10**-1.5
 REPS, REPS_LARGE = 11, 5
+POINTS = 9  # figure 3's rho_E points
 
 
 def main(argv=None) -> int:
@@ -48,7 +56,8 @@ def main(argv=None) -> int:
     from mmwsec import analysis
     from mmwsec.array_geometry import ArrayConfig
     from mmwsec.channel import sample_channel
-    from mmwsec.montecarlo import simulate_streams
+    from mmwsec import montecarlo
+    from mmwsec.montecarlo import SubsetBlock, simulate_streams
     from mmwsec.strategies import StrategyKind
 
     def estimate(streams, joint):
@@ -78,9 +87,37 @@ def main(argv=None) -> int:
         table[label] = round(statistics.median(ms[1:]), 2)
         if n < 1024:
             faults[label] = statistics.median(minflt[1:])
+    shares_blocks = "block" in inspect.signature(simulate_streams).parameters
+    points = {}
+    for name, kind, n, l_s in configs:
+        if l_s != POOLS[0]:
+            continue
+        cfg, ms = ArrayConfig(n), []
+        for _ in range(1 + (REPS_LARGE if n >= 1024 else REPS)):
+            seed = next(seeds)
+            ch = sample_channel(L, THETA_R, np.random.default_rng(seed))
+            subsets = SubsetBlock(np.random.default_rng(seed))
+            extra = ()
+            if shares_blocks:
+                key = montecarlo._block_key(ch, cfg, kind, n // 2, l_s, ANGLES)
+                extra = (montecarlo.KernelBlock(key),)
+            t0 = time.perf_counter()
+            for point in range(POINTS):
+                rng = np.random.default_rng([seed, point])
+                streams = simulate_streams(
+                    ch, cfg, kind, n // 2, l_s, ANGLES, K, rng, subsets, *extra
+                )
+                estimate(streams, name == "joint")
+            ms.append((time.perf_counter() - t0) * 1e3)
+        label = f"{name} N={n}" + (f" l_s={l_s}" if name == "joint" else "")
+        points[label] = round(statistics.median(ms[1:]), 2)
     print(
         json.dumps(
-            {"src": args.src, "K": K, "L": L, "median_ms": table, "median_minor_faults": faults}
+            {
+                "src": args.src, "K": K, "L": L, "median_ms": table,
+                "median_minor_faults": faults, "figure3_ms": points,
+                "figure3_shares_blocks": shares_blocks,
+            }
         )
     )
     return 0

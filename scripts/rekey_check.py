@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the files of BENCH_10.json's `same_bytes` commands in two trees.
+"""Compare the files of the `same_bytes` commands (`twotree.SAME_BYTES`) in two trees.
 
 Runs each command once with this checkout's src/ and once with another
 checkout's, each in a fresh interpreter, and prints, per command, whether
@@ -19,26 +19,19 @@ import argparse
 import csv
 import json
 import math
-import shlex
-import subprocess
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
+from twotree import SAME_BYTES, argv_of, invoke
+
 ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = ROOT / "BENCH_10.json"
-RUN = (
-    "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from mmwsec.cli import main; sys.exit(main(sys.argv[2:]))"
-)
 
 
 def run(src: str, argv: list[str], out_dir: Path) -> dict[str, bytes]:
     """Every file `mmwsec argv -o out_dir/out.csv` writes, by name."""
-    out_dir.mkdir(parents=True)
-    cmd = [sys.executable, "-c", RUN, src, *argv, "-o", str(out_dir / "out.csv")]
-    subprocess.run(cmd, check=True, cwd=out_dir, stdout=subprocess.DEVNULL)
+    invoke(src, argv, out_dir)
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
@@ -78,11 +71,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="the other checkout's src/")
     args = parser.parse_args(argv)
-    commands = json.loads(COMMANDS.read_text())["same_bytes"]["commands"]
     report, differs = {}, False
     with tempfile.TemporaryDirectory() as tmp:
-        for name, command in commands.items():
-            argv_ = shlex.split(command)[1:]  # drop the program name
+        for name, command in SAME_BYTES.items():
+            argv_ = argv_of(command)
             ours = run(str(ROOT / "src"), argv_, Path(tmp, "this", name))
             theirs = run(args.src, argv_, Path(tmp, "other", name))
             report[name] = {"command": command, **compare(ours, theirs)}

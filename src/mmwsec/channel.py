@@ -20,8 +20,8 @@ AOD_SET = np.arange(1, 181)
 class ChannelRealization:
     """L paths: departure angles aods_deg (L,) in degrees and complex gains
     (L,), both held as read-only copies, and the index of the
-    largest-magnitude gain.  Compares and hashes by identity, so a memo
-    keyed by a realization never reads its arrays."""
+    largest-magnitude gain.  Compares and hashes by identity, so a kernel
+    block keyed by a realization never reads its arrays."""
 
     aods_deg: np.ndarray
     gains: np.ndarray

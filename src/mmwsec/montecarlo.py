@@ -21,7 +21,14 @@ streams are keyed so results are reproducible and schedule-independent:
 The receiver knows the schedule, so a block's symbols are exchangeable:
 only how many symbols send each beam is drawn (`_draw_weights`), and
 `simulate_streams` hands the estimators per-beam moments
-(`analysis.BeamMoments`), not per-symbol gains.
+(`analysis.BeamMoments`), not per-symbol gains.  What does not depend on
+the draw is built once per (strategy, channel, N, m, l_s, angle tuple)
+and shared by every call of that key (`KernelBlock`): the observation
+operator and, for switched and joint, the products of the shared subset
+mask with it.  The sweep keeps one block per strategy and drops them all
+at the next ensemble index, so the rho_E points of one channel share one
+block per strategy, while each theta_E, antennas or paths point builds
+its own.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -399,7 +406,6 @@ def _draw_weights(
     return count, (SubsetBlock(rng) if subsets is None else subsets).mask(K, n, m_main)
 
 
-@functools.lru_cache(maxsize=len(StrategyKind))
 def _operator(
     ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int, angles
 ):
@@ -416,9 +422,8 @@ def _operator(
     complex (None otherwise).  For the masked strategies each antenna's
     term of D[s] is taken less its mean over the n antennas, and G[s] is
     the gain of B[s] plus m_main times that mean: the beam's mean gain over
-    the m-subsets, with mask D[s] the zero-mean rest.  Memoized for the
-    last key of each strategy, as read-only arrays: the sweep's only memo.
-    The channel enters the key by identity, so a hit reads no path.
+    the m-subsets, with mask D[s] the zero-mean rest.  The arrays are
+    read-only: a `KernelBlock` builds them once and shares them.
     """
     B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
     n, L, T = cfg.n_antennas, ch.n_paths, len(angles)
@@ -443,6 +448,132 @@ def _operator(
     return _read_only(table, G, D)
 
 
+def _block_key(ch, cfg, kind, m_main, l_s, angles) -> tuple:
+    """What a `KernelBlock` is built for: (ch, cfg, kind, m_main, l_s, angles as a float tuple)."""
+    thetas = np.atleast_1d(np.asarray(angles, dtype=float))
+    return ch, cfg, kind, m_main, l_s, tuple(thetas.tolist())
+
+
+class KernelBlock:
+    """The work that the `simulate_streams` calls of one (strategy, channel,
+    N, m, l_s, angle tuple) share: the operator and, for switched and
+    joint, the mask products y_k = mask_k D[s] of one subset mask.
+
+    The operator (`_operator`) is built at the first call.  At the first
+    masked call that sends more than one beam, each sent beam s reserves
+    the symbols [start_s - pad, end_s + pad) ∩ [0, K), pad = 2 isqrt(K),
+    as its region of one product buffer, allocated once and never grown; a
+    beam's start moves by about sqrt(K) / 2 between calls that draw fresh
+    counts.  A region's rows are written in place when a call first reads
+    them, in GEMMs of at most `_chunk_symbols` rows, and each beam's written
+    rows stay one run: a read extends it to the smallest run that holds
+    both, writing only the rows it adds.  Rows a call reads outside its
+    beam's region are computed for that call only.  Every call must read
+    the same mask, the one the products were formed from.  The last
+    reduction is kept, so a call whose counts equal it (switched's [0, K],
+    conventional's [K]) returns the same read-only `SymbolStreams`.  So a
+    draw that sends every symbol on one beam keeps no products: a repeat of
+    it is served whole, and the first draw that sends several beams
+    reserves the regions.
+    """
+
+    def __init__(self, key: tuple):
+        self.key = key  # `_block_key`
+        self._operator = self._mask = self._buf = self._last = None
+        self._regions = {}
+
+    @property
+    def operator(self):
+        """(table, G, D) of `_operator`, built at the first read."""
+        if self._operator is None:
+            self._operator = _operator(*self.key)
+        return self._operator
+
+    def streams(self, count: np.ndarray, mask: np.ndarray | None) -> SymbolStreams:
+        """Reduce one draw of the block (`simulate_streams`) to per-beam moments."""
+        if mask is not None and mask is not self._mask:
+            if self._mask is not None:
+                raise ValueError("kernel block holds the products of another subset mask")
+            self._mask = mask
+        if self._last is not None and np.array_equal(count, self._last[0]):
+            return self._last[1]
+        table, G, _ = self.operator
+        _read_only(count)
+        if mask is None:  # every symbol of beam s has the gain G[s]
+            moments = BeamMoments(count, G, *_read_only(np.zeros(G.shape)))
+            streams = SymbolStreams(moments, float(count @ np.abs(G[:, -1])), table)
+        else:
+            streams = self._masked_streams(count, table, G)
+        self._last = count, streams
+        return streams
+
+    def _masked_streams(self, count, table, G):
+        end = np.cumsum(count)
+        start = end - count
+        sent = np.flatnonzero(count)  # masked symbols never send beam 0
+        segments = list(zip(sent.tolist(), start[sent].tolist(), end[sent].tolist()))
+        if self._buf is None and len(segments) > 1:
+            self._reserve(segments)
+        sums = np.empty((len(sent), G.shape[1]), dtype=complex)
+        squares = np.empty(sums.shape)
+        recv = np.empty(len(self._mask))  # the receiver's |G[s, T] + y_k| per symbol
+        for i, (s, a, b) in enumerate(segments):
+            y = self._products(s, a, b)
+            yf = y.view(float)
+            sums[i] = np.add.reduceat(y, [0], axis=0)[0]
+            squares[i] = np.einsum("ij,ij->j", yf, yf).reshape(-1, 2).sum(axis=1)
+            np.abs(y[:, -1] + G[s, -1], out=recv[a:b])
+        n_sent = count[sent, None]
+        mean, m2 = G.copy(), np.zeros(G.shape)
+        mean[sent] += sums / n_sent
+        m2[sent] = np.maximum(squares - np.abs(sums) ** 2 / n_sent, 0.0)
+        return SymbolStreams(BeamMoments(count, *_read_only(mean, m2)), float(recv.sum()), table)
+
+    def _reserve(self, segments):
+        """Allocate the product buffer: one region per (beam, start, end) the first draw sent."""
+        K = len(self._mask)
+        pad, rows = 2 * math.isqrt(K), 0
+        for s, a, b in segments:
+            lo, hi = max(a - pad, 0), min(b + pad, K)
+            self._regions[s] = [lo, hi, rows - lo, lo, lo]  # region, buffer row of symbol 0, run
+            rows += hi - lo
+        self._buf = np.empty((rows, self.operator[1].shape[1]), dtype=complex)
+
+    def _products(self, s, a, b):
+        """y_k = mask_k D[s] for the symbols [a, b), as one contiguous read-only array."""
+        D = self.operator[2][s]
+        lo, hi, shift, r0, r1 = self._regions.get(s, (0, 0, 0, 0, 0))
+        ia, ib = max(a, lo), min(b, hi)  # the symbols inside the region
+        if ia < ib:
+            if r0 == r1:  # nothing written yet
+                r0 = r1 = ia
+            if ia < r0:
+                self._gemm(D, ia, r0, self._buf[shift + ia : shift + r0])
+            if r1 < ib:
+                self._gemm(D, r1, ib, self._buf[shift + r1 : shift + ib])
+            self._regions[s][3:] = min(r0, ia), max(r1, ib)
+            inside = self._buf[shift + ia : shift + ib]
+            if (ia, ib) == (a, b):
+                inside.flags.writeable = False
+                return inside
+        y = np.empty((b - a, self.operator[1].shape[1]), dtype=complex)
+        if ia < ib:
+            y[ia - a : ib - a] = inside
+            self._gemm(D, a, ia, y[: ia - a])
+            self._gemm(D, ib, b, y[ib - a :])
+        else:
+            self._gemm(D, a, b, y)
+        y.flags.writeable = False
+        return y
+
+    def _gemm(self, D, a, b, out):
+        """Write mask_k D for the symbols [a, b) into out, at most `_chunk_symbols` rows per GEMM."""
+        of, step = out.view(float), _chunk_symbols(self._mask.shape[1])
+        for lo in range(a, b, step):
+            hi = min(lo + step, b)
+            np.matmul(self._mask[lo:hi].astype(float), D, out=of[lo - a : hi - a])
+
+
 def simulate_streams(
     ch: ChannelRealization,
     cfg: ArrayConfig,
@@ -453,6 +584,7 @@ def simulate_streams(
     K: int,
     rng: np.random.Generator | Callable[[], np.random.Generator],
     subsets: SubsetBlock | None = None,
+    block: KernelBlock | None = None,
 ) -> SymbolStreams:
     """Simulate K symbols of one strategy against many observation angles.
 
@@ -472,54 +604,30 @@ def simulate_streams(
     The m-subsets come from `subsets`, a block shared with the other masked
     strategy and the other axis points of the same array size, when given;
     else they are drawn from the plan stream after the counts
-    (`SubsetBlock(rng)`).
+    (`SubsetBlock(rng)`).  block is the `KernelBlock` of this (strategy,
+    channel, N, m, l_s, angles), shared by the calls that read one mask;
+    without one the call builds its own.
 
-    Returns the block as per-beam moments (`SymbolStreams`).  Per beam the
-    law is G (R, T + 1), each beam at each observer, so conventional and
-    random-path symbols on beam s all have the gain G[s]: mean G[s], M2 0.
-    The masked strategies add a random part y_k = mask_k D[s].  Beam s is
-    sent by the contiguous symbols [start_s, end_s), which read the mask
-    rows in place: real-mask GEMMs of at most `_chunk_symbols` rows write
-    them into one (K, T + 1) block of y (so no complex (K, n) array is ever
-    held), and the block is reduced with one `np.add.reduceat` for each
-    beam's sum of y and one einsum per beam for its sum of |y|^2; then
-    mean = G[s] + sum y / n_s and M2 = sum |y|^2 - |sum y|^2 / n_s, clipped
-    at 0.  For these strategies G[s] is the beam's mean gain over the
-    subsets and y its zero-mean random part, so the raw sums lose no
-    digits to cancellation.  Only then is G[s, T] added to each beam's
-    receiver column, so the receiver's sum of |gain| is one abs-sum over
-    that column per block.  The operator is built once per (strategy,
-    channel, angles) and reused while the key repeats; only the counts and
-    the mask are drawn per call.
+    Returns the block as per-beam moments (`SymbolStreams`, read-only).
+    Per beam the law is G (R, T + 1), each beam at each observer, so
+    conventional and random-path symbols on beam s all have the gain G[s]:
+    mean G[s], M2 0.  The masked strategies add a random part
+    y_k = mask_k D[s].  Beam s is sent by the contiguous symbols
+    [start_s, end_s), whose products the block hands over as one
+    contiguous array (`KernelBlock`); its sum is one `np.add.reduceat` and
+    its sum of |y|^2 one einsum, and mean = G[s] + sum y / n_s and
+    M2 = sum |y|^2 - |sum y|^2 / n_s, clipped at 0.  For these strategies
+    G[s] is the beam's mean gain over the subsets and y its zero-mean
+    random part, so the raw sums lose no digits to cancellation.  The
+    receiver's |G[s, T] + y_k| fill one float per symbol, summed once.
     """
-    thetas = np.atleast_1d(np.asarray(theta_e_list, dtype=float))
-    table, G, D = _operator(ch, cfg, kind, m_main, l_s, tuple(thetas.tolist()))
-    R, n = len(G), cfg.n_antennas
-    count, mask = _draw_weights(kind, R, n, m_main, K, rng, subsets)
-    if mask is None:  # every symbol of beam s has the gain G[s]
-        moments = BeamMoments(count, G, np.zeros(G.shape))
-        return SymbolStreams(moments, float(count @ np.abs(G[:, -1])), table)
-    end = np.cumsum(count)
-    start = end - count
-    sent = np.flatnonzero(count)  # masked symbols never send beam 0
-    y = np.empty((K, G.shape[1]), dtype=complex)  # the random part mask_k D[s]
-    yf = y.view(float)
-    step = _chunk_symbols(n)
-    for s in sent:
-        for lo in range(start[s], end[s], step):
-            hi = min(lo + step, end[s])
-            np.matmul(mask[lo:hi].astype(float), D[s], out=yf[lo:hi])
-    sums = np.add.reduceat(y, start[sent], axis=0)  # only sent beams: no empty segment
-    squares = np.empty(sums.shape)
-    for i, s in enumerate(sent):
-        seg = yf[start[s] : end[s]]
-        squares[i] = np.einsum("ij,ij->j", seg, seg).reshape(-1, 2).sum(axis=1)
-        y[start[s] : end[s], -1] += G[s, -1]  # the receiver's gains, once y is reduced
-    n_sent = count[sent, None]
-    mean, m2 = G.copy(), np.zeros(G.shape)
-    mean[sent] += sums / n_sent
-    m2[sent] = np.maximum(squares - np.abs(sums) ** 2 / n_sent, 0.0)
-    return SymbolStreams(BeamMoments(count, mean, m2), float(np.abs(y[:, -1]).sum()), table)
+    key = _block_key(ch, cfg, kind, m_main, l_s, theta_e_list)
+    if block is None:
+        block = KernelBlock(key)
+    elif block.key != key:
+        raise ValueError("kernel block was built for another strategy, channel or angle set")
+    R = len(block.operator[1])
+    return block.streams(*_draw_weights(kind, R, cfg.n_antennas, m_main, K, rng, subsets))
 
 
 # ---------------------------------------------------------------------------
@@ -618,26 +726,39 @@ def _check_row(row: SweepRow, snr_r: float):
         )
 
 
+def _kernel_block(blocks: dict, kind: StrategyKind, pt: _Point, ch: ChannelRealization, angles):
+    """The `KernelBlock` of (kind, ch, pt's N, m and l_s, angles): the strategy's
+    block in blocks if it was built for that key, else a new one that replaces it."""
+    key = _block_key(ch, pt.cfg, kind, pt.m_main, pt.l_s, angles)
+    block = blocks.get(kind)
+    if block is None or block.key != key:
+        block = blocks[kind] = KernelBlock(key)
+    return block
+
+
 def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     """The sweep loop shared by `run_sweep` and `compare_analytic`.
 
-    evaluate(kind, point, ch, plan, subsets) returns one channel's linear
-    (snr_r, snr_e); plan is a function of no arguments that builds the plan
-    stream of that (strategy, axis value, channel), and subsets the
+    evaluate(kind, point, ch, plan, subsets, block) returns one channel's
+    linear (snr_r, snr_e); plan is a function of no arguments that builds
+    the plan stream of that (strategy, axis value, channel), subsets the
     `SubsetBlock` of that (array size, ensemble index), keyed by the first
-    axis index with that N.  The loop runs ensemble index, then axis point,
-    then strategy, and draws each channel once per (path count, ensemble
-    index) as one object for every strategy and point, so on the rho_E
-    axis each strategy's `_operator` memo hits at every point; the memo is
-    cleared here so nothing carries over from an earlier sweep.  Every `ok`
-    row is checked before the table is returned (`_check_row`).
+    axis index with that N, and block(angles) the `KernelBlock` of that
+    (strategy, channel, point) at the given angles.  The loop runs ensemble
+    index, then axis point, then strategy, and draws each channel once per
+    (path count, ensemble index) as one object for every strategy and
+    point.  Each strategy keeps only the kernel block of the last key it
+    saw, and every block is dropped when the ensemble index changes: on the
+    rho_E axis the points of one channel share each strategy's block, and
+    on the other axes each point builds its own.  Every `ok` row is checked
+    before the table is returned (`_check_row`).
     """
-    _operator.cache_clear()
     points = [_Point.at(spec, v) for v in spec.axis_values]
     # rate, snr_r and snr_e per (strategy, axis value, ensemble index)
     acc = np.empty((len(spec.strategies), 3, len(points), spec.ensemble))
     for ens in range(spec.ensemble):
         channels = {}  # path count -> channel: one draw serves every strategy and point
+        blocks = {}  # strategy -> its kernel block of the last key it saw
         for i, pt in enumerate(points):
             # antennas-axis values are distinct, and off that axis every point has one N
             if i == 0 or spec.axis == "n_antennas":
@@ -651,7 +772,8 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
                         pt.n_paths, spec.theta_r_deg, _channel_rng(spec, pt.n_paths, ens)
                     )
                 plan = functools.partial(_plan_rng, spec, strat, i, ens)
-                snr_r, snr_e = evaluate(strat, pt, ch, plan, subsets)
+                block = functools.partial(_kernel_block, blocks, strat, pt, ch)
+                snr_r, snr_e = evaluate(strat, pt, ch, plan, subsets, block)
                 acc[s, :, i, ens] = secrecy_rate(snr_r, snr_e), snr_r, snr_e
     rows = []
     for strat, (rates, snr_r_acc, snr_e_acc) in zip(spec.strategies, acc):
@@ -692,7 +814,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     joint) or L below 2 (joint) yields a row flagged inapplicable.
     """
 
-    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, plan, subsets):
+    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, plan, subsets, block):
         # Under the pessimistic random-location model, an eavesdropper
         # sitting on a transmit angle of the joint scheme mixes mainlobe
         # interception (probability 2/L) with sidelobe observation at
@@ -705,7 +827,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
                 theta_list += side
         streams = simulate_streams(
             ch, pt.cfg, kind, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, plan,
-            subsets,
+            subsets, block(theta_list),
         )
         sigma_r = receiver_reference_gain(ch, kind) ** 2 / pt.rho_r
         snr_r = receiver_snr(streams.recv_abs_sum, spec.symbols_per_point, sigma_r)
@@ -736,7 +858,7 @@ def compare_analytic(spec: SweepSpec) -> ResultTable:
         if strat not in ANALYTIC_STRATEGIES:
             raise ValueError(f"compare_analytic supports {ANALYTIC_STRATEGIES}, got {strat}")
 
-    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, _plan, _subsets):
+    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, _plan, _subsets, _block):
         n_ant = pt.cfg.n_antennas
         if kind is StrategyKind.RANDOM_PATH:
             snr_r = snr_r_random_path(n_ant, pt.n_paths, pt.rho_r)

@@ -79,7 +79,7 @@ def test_realization_invariants_enforced():
         ChannelRealization([40.0, 40.0], gains, strongest_index=0)
     with pytest.raises(ValueError, match="must be vectors of one length"):
         ChannelRealization(aods, gains[:1], strongest_index=0)
-    # the identity-keyed operator memo and the cached mean gain need arrays that never change
+    # the identity-keyed kernel blocks and the cached mean gain need arrays that never change
     aods[0] = 60.0
     assert ch.aods_deg.tolist() == [40.0, 50.0]
     for held in (ch.aods_deg, ch.gains):

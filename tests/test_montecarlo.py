@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import weakref
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -28,10 +30,12 @@ from mmwsec.analysis import alignment_mixture_snr, location_mixture_snr, receive
 from mmwsec.array_geometry import ArrayConfig, array_response, cos_aligned
 from mmwsec.channel import ChannelRealization, sample_channel
 from mmwsec.montecarlo import (
+    KernelBlock,
     ResultTable,
     SubsetBlock,
     SweepRow,
     SweepSpec,
+    _block_key,
     _check_row,
     _draw_weights,
     _random_subsets,
@@ -429,37 +433,107 @@ MEMO_SPECS = [
 
 @pytest.mark.parametrize("axis_spec", MEMO_SPECS, ids=lambda d: d["axis"])
 def test_operator_memo_is_transparent(monkeypatch, axis_spec):
+    # the sweep's kernel blocks, each shared by the points of one key, against a
+    # fresh block per simulate_streams call: the masked rows regroup their GEMMs,
+    # which may move a joint moment by an ulp
     spec = small_spec(symbols_per_point=200, ensemble=3, **axis_spec)
-    memoized = run_sweep(spec).to_csv()
-    unmemoized = functools.lru_cache(maxsize=0)(montecarlo._operator.__wrapped__)
-    monkeypatch.setattr(montecarlo, "_operator", unmemoized)
-    assert run_sweep(spec).to_csv() == memoized
+    shared = run_sweep(spec).rows
+    simulate = montecarlo.simulate_streams
+    monkeypatch.setattr(
+        montecarlo, "simulate_streams", lambda *args: simulate(*args[:-1])  # drop the block
+    )
+    fresh = run_sweep(spec).rows
+    assert len(shared) == len(fresh)
+    for a, b in zip(shared, fresh):
+        if a.strategy is not StrategyKind.JOINT_PATH_ANTENNA:
+            assert a == b
+            continue
+        assert (a.strategy, a.axis_value, a.status) == (b.strategy, b.axis_value, b.status)
+        for field in ("snr_r_db", "snr_e_db", "rate_bps_hz", "stderr"):
+            assert getattr(a, field) == pytest.approx(getattr(b, field), rel=0, abs=1e-9)
 
 
-def test_operator_memo_is_read_only_and_cleared_per_sweep():
+def test_operator_memo_is_read_only_and_cleared_per_sweep(monkeypatch):
     cfg = ArrayConfig(16)
     ch = sample_channel(8, THETA_R, np.random.default_rng(83))
-    block = SubsetBlock(np.random.default_rng(85))
+    subsets = SubsetBlock(np.random.default_rng(85))
     for kind in ALL:
-        simulate_streams(ch, cfg, kind, 6, 4, [55.0], 100, np.random.default_rng(84), block)
-        cached = [
+        block = KernelBlock(_block_key(ch, cfg, kind, 6, 4, [55.0]))
+        args = (ch, cfg, kind, 6, 4, [55.0], 100)
+        first = simulate_streams(*args, np.random.default_rng(84), subsets, block)
+        shared = [
             *montecarlo._beams(ch, cfg, kind, 6, 4),
-            *montecarlo._operator(ch, cfg, kind, 6, 4, (55.0,)),
-            block.mask(100, 16, 6),
+            *block.operator,
+            subsets.mask(100, 16, 6),
+            first.moments.count, first.moments.mean, first.moments.m2, first.table,
         ]
-        assert montecarlo._operator.cache_info().hits
-        for a in cached:
+        # only joint sends several beams, so only its block keeps a product buffer
+        assert (block._buf is not None) == (kind is StrategyKind.JOINT_PATH_ANTENNA)
+        if block._buf is not None:  # the products it hands out, in and beyond its regions
+            shared += [block._products(s, 0, 100) for s in np.flatnonzero(first.moments.count)]
+        for a in shared:
             if a is not None:
                 assert not a.flags.writeable
-    sizes = []
+        again = simulate_streams(*args, np.random.default_rng(87), subsets, block)
+        # switched's [0, K] and conventional's [K] repeat, so their reduction is served again
+        repeats = kind in (StrategyKind.CONVENTIONAL, StrategyKind.SWITCHED_ARRAY)
+        assert (again is first) == repeats
 
-    def evaluate(kind, pt, ch, rng, subsets):
-        if not sizes:
-            sizes.append((montecarlo._operator.cache_info().currsize, subsets._mask is None))
+    made = []
+
+    class Recorded(KernelBlock):
+        def __init__(self, key):
+            super().__init__(key)
+            made.append(weakref.ref(self))
+
+    def evaluate(kind, pt, ch, rng, subsets, block):
+        block([pt.theta_e_deg])
+        live = [b for b in (r() for r in made) if b is not None]
+        # each strategy holds at most one block, and none of an earlier channel
+        assert max(Counter(b.key[2] for b in live).values()) == 1
+        assert all(b.key[0] is ch for b in live)
         return 1.0, 0.5
 
-    montecarlo._sweep(small_spec(ensemble=2), evaluate)
-    assert sizes == [(0, True)]
+    monkeypatch.setattr(montecarlo, "KernelBlock", Recorded)
+    # per ensemble index, the two rho_E points share each strategy's block
+    for axis, values, per_ensemble in (
+        ("rho_e_db", (0.0, 10.0), 4), ("theta_e_deg", (40.0, 55.0), 8)
+    ):
+        made.clear()
+        montecarlo._sweep(small_spec(axis=axis, axis_values=values, ensemble=2), evaluate)
+        assert len(made) == 2 * per_ensemble
+        assert all(r() is None for r in made)  # none outlives the sweep
+
+
+def test_kernel_block_serves_draws_inside_and_outside_its_regions():
+    # K = 400, so each beam's region is its first segment widened by 40 symbols:
+    # [0, 140), [60, 240) and [160, 400); beam 4 sends nothing at first, so it has none
+    K, cfg, m, l_s, thetas = 400, ArrayConfig(16), 6, 5, [40.0, 55.0, 70.0]
+    ch = sample_channel(8, THETA_R, np.random.default_rng(88))
+    mask = SubsetBlock(np.random.default_rng(89)).mask(K, 16, m)
+    key = _block_key(ch, cfg, StrategyKind.JOINT_PATH_ANTENNA, m, l_s, thetas)
+    block = KernelBlock(key)
+    draws = [
+        [0, 100, 100, 200, 0],  # reserves the regions
+        [0, 110, 90, 200, 0],  # every segment inside its region
+        [0, 150, 120, 130, 0],  # beams 1 and 2 reach past their regions' ends
+        [0, 240, 110, 0, 50],  # beam 2 wholly past its region; beam 4 has none
+    ]
+    pointer = None
+    for count in draws:
+        count = np.array(count)
+        got, ref = block.streams(count, mask), KernelBlock(key).streams(count.copy(), mask)
+        pointer = pointer or block._buf.ctypes.data
+        assert block._buf.ctypes.data == pointer  # one buffer, never reallocated
+        assert np.array_equal(got.moments.count, ref.moments.count)
+        for a, b in ((got.moments.mean, ref.moments.mean), (got.moments.m2, ref.moments.m2)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        assert got.recv_abs_sum == pytest.approx(ref.recv_abs_sum, rel=1e-12)
+    assert len(block._buf) == 140 + 180 + 240
+    with pytest.raises(ValueError, match="another subset mask"):
+        block.streams(np.array(draws[1]), mask.copy())
+    with pytest.raises(ValueError, match="built for another"):
+        simulate_streams(*key[:5], [40.0], K, None, None, block)
 
 
 SHARING_SPECS = [
@@ -567,7 +641,7 @@ def test_sweep_hands_over_uniform_subsets():
     # each antenna sits on the main beam m/N of the time in the block the sweep hands over
     seen = []
 
-    def evaluate(kind, pt, ch, rng, subsets):
+    def evaluate(kind, pt, ch, rng, subsets, block):
         if not seen:
             K, n = 10_000, pt.cfg.n_antennas
             seen.append(subsets.mask(K, n, pt.m_main))
