@@ -17,11 +17,12 @@ pages, so the count follows the allocator's state, not the kernel (runs
 of two trees read from 0 to 144 faults per joint block).
 
 Beside them, `figure3_ms` times the pattern of figure 3's nine rho_E
-points: nine calls on one channel and one `SubsetBlock`, each with its own
-plan stream, switched and joint (l_s = 5) at every N, with their
-estimates; the median milliseconds of the nine together.  Where
-`simulate_streams` takes a `KernelBlock`, the nine calls share one, as
-the sweep's do.
+points: nine calls on one channel and one `SubsetBlock`, switched and
+joint (l_s = 5) at every N, with their estimates; the median milliseconds
+of the nine together.  Each call builds its plan stream from the same
+key, as the sweep's rho_E points of one channel do, so the nine draw the
+same counts.  Where `simulate_streams` takes a `KernelBlock`, the nine
+calls share one, as the sweep's do.
 
     python3 scripts/kernel_ms.py                      # this checkout's src/
     python3 scripts/kernel_ms.py --src OTHER/src      # another checkout
@@ -102,8 +103,8 @@ def main(argv=None) -> int:
                 key = montecarlo._block_key(ch, cfg, kind, n // 2, l_s, ANGLES)
                 extra = (montecarlo.KernelBlock(key),)
             t0 = time.perf_counter()
-            for point in range(POINTS):
-                rng = np.random.default_rng([seed, point])
+            for _ in range(POINTS):
+                rng = np.random.default_rng([seed, 0])  # one plan key per block
                 streams = simulate_streams(
                     ch, cfg, kind, n // 2, l_s, ANGLES, K, rng, subsets, *extra
                 )

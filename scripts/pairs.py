@@ -8,7 +8,9 @@ JSON object per command: each side's median and quartiles of wall time
 and its median peak RSS, the per-pair ratios this / other, how many pairs
 this tree won, and whether it won at least 9 in 10 of them with a median
 below the other's by more than the other's interquartile range.  With no
-command after `--`, it times `twotree.NORTH_STAR`.
+command after `--`, it times `twotree.NORTH_STAR`.  The command omits the
+program name; a run that exits nonzero stops the script with a one-line
+message naming the command and the tree's src/.
 
     python3 scripts/pairs.py --src OTHER/src --pairs 10 -- figure 3 --ensemble 8
     python3 scripts/pairs.py --src OTHER/src       # the north-star commands

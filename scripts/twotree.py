@@ -50,7 +50,8 @@ def argv_of(command: str) -> list[str]:
 def invoke(src: str, argv: list[str], out_dir: Path) -> tuple[float, float]:
     """Run `mmwsec argv -o out_dir/out.csv` with the package in src, in a
     fresh interpreter; return its wall seconds and its peak RSS in MB.
-    Raises CalledProcessError if it exits nonzero."""
+    Exits with a one-line message naming the command and src if it exits
+    nonzero."""
     out_dir.mkdir(parents=True)
     cmd = [sys.executable, "-c", RUN, src, *argv, "-o", str(out_dir / "out.csv")]
     start = time.perf_counter()
@@ -59,5 +60,5 @@ def invoke(src: str, argv: list[str], out_dir: Path) -> tuple[float, float]:
     seconds = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, cmd)
+        sys.exit(f"`mmwsec {shlex.join(argv)}` exited with status {proc.returncode} with src {src}")
     return seconds, usage.ru_maxrss / 1024  # Linux reports KB

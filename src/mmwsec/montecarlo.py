@@ -9,8 +9,11 @@ streams are keyed so results are reproducible and schedule-independent:
 
 - a channel by (base seed, role, path count, ensemble index), so a sweep
   draws each one once and shares it across strategies and axis points;
-- a strategy's beam counts by (base seed, role, strategy, axis index,
-  ensemble index);
+- a strategy's beam counts by (base seed, role, strategy, i, ensemble
+  index), i the axis index at which the strategy's kernel block was built
+  (`KernelBlock`, below): the rho_E points of one channel share that
+  block, so they draw the same counts, and on the other axes i is the
+  point's own index;
 - the antenna subsets of the switched and joint schemes by (base seed,
   role, j, ensemble index), j the first axis index with the point's
   array size N, not by strategy or axis point: at one ensemble index
@@ -26,9 +29,10 @@ the draw is built once per (strategy, channel, N, m, l_s, angle tuple)
 and shared by every call of that key (`KernelBlock`): the observation
 operator and, for switched and joint, the products of the shared subset
 mask with it.  The sweep keeps one block per strategy and drops them all
-at the next ensemble index, so the rho_E points of one channel share one
-block per strategy, while each theta_E, antennas or paths point builds
-its own.
+at the next ensemble index or at a point that differs from the last in
+more than rho_E, so the rho_E points of one channel share one block per
+strategy, and its count draw and reduction with it, while each theta_E,
+antennas or paths point builds its own.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -726,43 +730,59 @@ def _check_row(row: SweepRow, snr_r: float):
         )
 
 
-def _kernel_block(blocks: dict, kind: StrategyKind, pt: _Point, ch: ChannelRealization, angles):
-    """The `KernelBlock` of (kind, ch, pt's N, m and l_s, angles): the strategy's
-    block in blocks if it was built for that key, else a new one that replaces it."""
+def _kernel_block(
+    blocks: dict, spec: SweepSpec, kind: StrategyKind, i: int, ens: int, pt: _Point,
+    ch: ChannelRealization, angles,
+):
+    """The `KernelBlock` of (kind, ch, pt's N, m and l_s, angles) and its plan: a
+    function of no arguments that builds the plan stream of (kind, i, ens), i
+    the axis index at which the block was built.  Returns the strategy's
+    (block, plan) in blocks if the block was built for that key, else a new
+    pair that replaces it."""
     key = _block_key(ch, pt.cfg, kind, pt.m_main, pt.l_s, angles)
-    block = blocks.get(kind)
-    if block is None or block.key != key:
-        block = blocks[kind] = KernelBlock(key)
-    return block
+    held = blocks.get(kind)
+    if held is None or held[0].key != key:
+        held = blocks[kind] = KernelBlock(key), functools.partial(_plan_rng, spec, kind, i, ens)
+    return held
 
 
 def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     """The sweep loop shared by `run_sweep` and `compare_analytic`.
 
-    evaluate(kind, point, ch, plan, subsets, block) returns one channel's
-    linear (snr_r, snr_e); plan is a function of no arguments that builds
-    the plan stream of that (strategy, axis value, channel), subsets the
-    `SubsetBlock` of that (array size, ensemble index), keyed by the first
-    axis index with that N, and block(angles) the `KernelBlock` of that
-    (strategy, channel, point) at the given angles.  The loop runs ensemble
-    index, then axis point, then strategy, and draws each channel once per
-    (path count, ensemble index) as one object for every strategy and
-    point.  Each strategy keeps only the kernel block of the last key it
-    saw, and every block is dropped when the ensemble index changes: on the
-    rho_E axis the points of one channel share each strategy's block, and
-    on the other axes each point builds its own.  Every `ok` row is checked
-    before the table is returned (`_check_row`).
+    evaluate(kind, point, ch, subsets, block) returns one channel's linear
+    (snr_r, snr_e); subsets is the `SubsetBlock` of that (array size,
+    ensemble index), keyed by the first axis index with that N, and
+    block(angles) returns the `KernelBlock` of that (strategy, channel,
+    point) at the given angles with its plan, a function of no arguments
+    that builds the plan stream keyed by the axis index at which the block
+    was built (`_kernel_block`).  The loop runs ensemble index, then axis
+    point, then strategy, and draws each channel once per (path count,
+    ensemble index) as one object for every strategy and point.  Each
+    strategy keeps only the kernel block of the last key it saw, and every
+    block is dropped at the first point of each ensemble index and at a
+    point that differs from the last in more than rho_E: on the rho_E axis
+    the points of one channel share each strategy's block and plan stream,
+    so they draw the same counts, and on the other axes each point builds
+    its own.  Every `ok` row is checked before the table is returned
+    (`_check_row`).
     """
     points = [_Point.at(spec, v) for v in spec.axis_values]
+    # a point can share the kernel blocks of the one before only if it differs in rho_E alone
+    shares = [
+        i > 0 and replace(pt, rho_e=points[i - 1].rho_e) == points[i - 1]
+        for i, pt in enumerate(points)
+    ]
     # rate, snr_r and snr_e per (strategy, axis value, ensemble index)
     acc = np.empty((len(spec.strategies), 3, len(points), spec.ensemble))
+    blocks = {}  # strategy -> (kernel block, plan) of the last key it saw
     for ens in range(spec.ensemble):
         channels = {}  # path count -> channel: one draw serves every strategy and point
-        blocks = {}  # strategy -> its kernel block of the last key it saw
         for i, pt in enumerate(points):
             # antennas-axis values are distinct, and off that axis every point has one N
             if i == 0 or spec.axis == "n_antennas":
                 subsets = SubsetBlock(_subset_rng(spec, i, ens))
+            if not shares[i]:
+                blocks.clear()
             for s, strat in enumerate(spec.strategies):
                 if not pt.applicable(strat):
                     continue
@@ -771,9 +791,8 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
                     ch = channels[pt.n_paths] = sample_channel(
                         pt.n_paths, spec.theta_r_deg, _channel_rng(spec, pt.n_paths, ens)
                     )
-                plan = functools.partial(_plan_rng, spec, strat, i, ens)
-                block = functools.partial(_kernel_block, blocks, strat, pt, ch)
-                snr_r, snr_e = evaluate(strat, pt, ch, plan, subsets, block)
+                block = functools.partial(_kernel_block, blocks, spec, strat, i, ens, pt, ch)
+                snr_r, snr_e = evaluate(strat, pt, ch, subsets, block)
                 acc[s, :, i, ens] = secrecy_rate(snr_r, snr_e), snr_r, snr_e
     rows = []
     for strat, (rates, snr_r_acc, snr_e_acc) in zip(spec.strategies, acc):
@@ -814,7 +833,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     joint) or L below 2 (joint) yields a row flagged inapplicable.
     """
 
-    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, plan, subsets, block):
+    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, subsets, block):
         # Under the pessimistic random-location model, an eavesdropper
         # sitting on a transmit angle of the joint scheme mixes mainlobe
         # interception (probability 2/L) with sidelobe observation at
@@ -825,9 +844,10 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
             joint_mix, side = joint_sidelobe_aods(ch, pt.l_s, pt.theta_e_deg)
             if joint_mix:
                 theta_list += side
+        kernel, plan = block(theta_list)
         streams = simulate_streams(
             ch, pt.cfg, kind, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, plan,
-            subsets, block(theta_list),
+            subsets, kernel,
         )
         sigma_r = receiver_reference_gain(ch, kind) ** 2 / pt.rho_r
         snr_r = receiver_snr(streams.recv_abs_sum, spec.symbols_per_point, sigma_r)
@@ -858,7 +878,7 @@ def compare_analytic(spec: SweepSpec) -> ResultTable:
         if strat not in ANALYTIC_STRATEGIES:
             raise ValueError(f"compare_analytic supports {ANALYTIC_STRATEGIES}, got {strat}")
 
-    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, _plan, _subsets, _block):
+    def evaluate(kind: StrategyKind, pt: _Point, ch: ChannelRealization, _subsets, _block):
         n_ant = pt.cfg.n_antennas
         if kind is StrategyKind.RANDOM_PATH:
             snr_r = snr_r_random_path(n_ant, pt.n_paths, pt.rho_r)

@@ -486,12 +486,13 @@ def test_operator_memo_is_read_only_and_cleared_per_sweep(monkeypatch):
             super().__init__(key)
             made.append(weakref.ref(self))
 
-    def evaluate(kind, pt, ch, rng, subsets, block):
+    def evaluate(kind, pt, ch, subsets, block):
         block([pt.theta_e_deg])
         live = [b for b in (r() for r in made) if b is not None]
         # each strategy holds at most one block, and none of an earlier channel
+        # or, off the rho_E axis, of an earlier point
         assert max(Counter(b.key[2] for b in live).values()) == 1
-        assert all(b.key[0] is ch for b in live)
+        assert all(b.key[0] is ch and b.key[5] == (pt.theta_e_deg,) for b in live)
         return 1.0, 0.5
 
     monkeypatch.setattr(montecarlo, "KernelBlock", Recorded)
@@ -641,7 +642,7 @@ def test_sweep_hands_over_uniform_subsets():
     # each antenna sits on the main beam m/N of the time in the block the sweep hands over
     seen = []
 
-    def evaluate(kind, pt, ch, rng, subsets, block):
+    def evaluate(kind, pt, ch, subsets, block):
         if not seen:
             K, n = 10_000, pt.cfg.n_antennas
             seen.append(subsets.mask(K, n, pt.m_main))
@@ -659,9 +660,9 @@ def test_sweep_hands_over_uniform_subsets():
 
 def test_plan_streams_are_built_only_by_the_draws_that_read_them(monkeypatch):
     # conventional and switched (with the sweep's subset block) read no plan
-    # stream, so the sweep builds one per random-path and joint evaluation only
-    spec = small_spec(axis="rho_e_db", axis_values=(0.0, 10.0), ensemble=2, symbols_per_point=100)
-    rows = _csv_rows(spec)
+    # stream, so the sweep builds one per random-path and joint evaluation only,
+    # keyed by the axis index at which the evaluation's kernel block was built:
+    # the first for both rho_E points, each point's own for the theta_E points
     built = []
     spied = montecarlo._plan_rng
 
@@ -669,14 +670,40 @@ def test_plan_streams_are_built_only_by_the_draws_that_read_them(monkeypatch):
         built.append((strat, axis_idx, ens))
         return spied(spec, strat, axis_idx, ens)
 
-    monkeypatch.setattr(montecarlo, "_plan_rng", spy)
-    assert _csv_rows(spec) == rows
-    assert sorted(built, key=str) == sorted(
-        itertools.product(
-            (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA), range(2), range(2)
-        ),
-        key=str,
-    )
+    for axis, values, block_index in (
+        ("rho_e_db", (0.0, 10.0), (0, 0)), ("theta_e_deg", (40.0, 55.0), (0, 1))
+    ):
+        spec = small_spec(axis=axis, axis_values=values, ensemble=2, symbols_per_point=100)
+        rows = _csv_rows(spec)
+        built.clear()
+        monkeypatch.setattr(montecarlo, "_plan_rng", spy)
+        assert _csv_rows(spec) == rows
+        monkeypatch.setattr(montecarlo, "_plan_rng", spied)
+        assert sorted(built, key=str) == sorted(
+            itertools.product(
+                (StrategyKind.RANDOM_PATH, StrategyKind.JOINT_PATH_ANTENNA), block_index, range(2)
+            ),
+            key=str,
+        )
+
+
+def test_rho_e_points_of_one_channel_share_one_reduction(monkeypatch):
+    # every rho_E point of one (strategy, channel) draws the same counts from
+    # the same plan stream, so its kernel block serves the one reduction again
+    served = {}  # (strategy, channel) -> every call's streams
+    simulate = montecarlo.simulate_streams
+
+    def spy(ch, cfg, kind, *args):
+        streams = simulate(ch, cfg, kind, *args)
+        served.setdefault((kind, ch.aods_deg.tobytes()), []).append(streams)
+        return streams
+
+    monkeypatch.setattr(montecarlo, "simulate_streams", spy)
+    values = (0.0, 10.0, 20.0)
+    run_sweep(small_spec(axis="rho_e_db", axis_values=values, ensemble=2, symbols_per_point=200))
+    assert len(served) == len(ALL) * 2
+    for calls in served.values():
+        assert len(calls) == len(values) and all(streams is calls[0] for streams in calls)
 
 
 def test_mean_gain_is_computed_once_per_channel(monkeypatch):
