@@ -19,10 +19,13 @@ of two trees read from 0 to 144 faults per joint block).
 Beside them, `figure3_ms` times the pattern of figure 3's nine rho_E
 points: nine calls on one channel and one `SubsetBlock`, switched and
 joint (l_s = 5) at every N, with their estimates; the median milliseconds
-of the nine together.  Each call builds its plan stream from the same
-key, as the sweep's rho_E points of one channel do, so the nine draw the
-same counts.  Where `simulate_streams` takes a `KernelBlock`, the nine
-calls share one, as the sweep's do.
+of the nine together.  The nine calls get one plan function, which builds
+the plan stream from one key, as the sweep's rho_E points of one channel
+do (`montecarlo._kernel_block`), so they draw the same counts.  Where
+`simulate_streams` takes a `KernelBlock`, the nine calls share one, as
+the sweep's do, and where the streams hold the eavesdropper views
+(`SymbolStreams.eve`), the estimates read them, as the sweep does.  The
+other tree's `simulate_streams` must accept a plan function.
 
     python3 scripts/kernel_ms.py                      # this checkout's src/
     python3 scripts/kernel_ms.py --src OTHER/src      # another checkout
@@ -31,6 +34,7 @@ calls share one, as the sweep's do.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import itertools
 import json
@@ -63,7 +67,11 @@ def main(argv=None) -> int:
 
     def estimate(streams, joint):
         """The sweep's receiver and eavesdropper estimates of one block."""
-        eve, aligned, side = streams.moments.at(0), streams.table[0], streams.moments.at([1])
+        if hasattr(streams, "eve"):
+            eve, side = streams.eve, streams.sidelobes
+        else:  # streams that build no views
+            eve, side = streams.moments.at(0), streams.moments.at([1])
+        aligned = streams.table[0]
         analysis.receiver_snr(streams.recv_abs_sum, K, 1.0)
         if joint:
             return analysis.location_mixture_snr(eve, aligned, side, L, NOISE)
@@ -102,11 +110,11 @@ def main(argv=None) -> int:
             if shares_blocks:
                 key = montecarlo._block_key(ch, cfg, kind, n // 2, l_s, ANGLES)
                 extra = (montecarlo.KernelBlock(key),)
+            plan = functools.partial(np.random.default_rng, [seed, 0])  # one per block
             t0 = time.perf_counter()
             for _ in range(POINTS):
-                rng = np.random.default_rng([seed, 0])  # one plan key per block
                 streams = simulate_streams(
-                    ch, cfg, kind, n // 2, l_s, ANGLES, K, rng, subsets, *extra
+                    ch, cfg, kind, n // 2, l_s, ANGLES, K, plan, subsets, *extra
                 )
                 estimate(streams, name == "joint")
             ms.append((time.perf_counter() - t0) * 1e3)

@@ -4,8 +4,9 @@
 Each pair runs the command once with this checkout's src/ and once with
 the other's, each in a fresh interpreter (`twotree.invoke`), and the
 order flips every pair: pair 0 runs the other tree first.  Prints one
-JSON object per command: each side's median and quartiles of wall time
-and its median peak RSS, the per-pair ratios this / other, how many pairs
+JSON object per command: each side's median and quartiles of wall time,
+its median and interquartile range of CPU time (user plus system) and
+its median peak RSS, the per-pair wall-time ratios this / other, how many pairs
 this tree won, and whether it won at least 9 in 10 of them with a median
 below the other's by more than the other's interquartile range.  With no
 command after `--`, it times `twotree.NORTH_STAR`.  The command omits the
@@ -30,25 +31,27 @@ from twotree import NORTH_STAR, argv_of, invoke
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def summary(seconds: list[float], rss: list[float]) -> dict:
+def summary(seconds: list[float], cpu: list[float], rss: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    cpu_q1, cpu_median, cpu_q3 = statistics.quantiles(cpu, n=4, method="inclusive")
     return {
         "median_s": round(median, 4),
         "q1_s": round(q1, 4),
         "q3_s": round(q3, 4),
         "iqr_s": round(q3 - q1, 4),
+        "cpu_median_s": round(cpu_median, 4),
+        "cpu_iqr_s": round(cpu_q3 - cpu_q1, 4),
         "peak_rss_mb_median": round(statistics.median(rss), 2),
         "runs_s": [round(s, 4) for s in seconds],
     }
 
 
 def time_pairs(argv: list[str], trees: dict[str, str], pairs: int, tmp: Path) -> dict:
-    runs = {side: ([], []) for side in trees}
+    runs = {side: ([], [], []) for side in trees}  # wall s, CPU s, peak RSS MB
     for i in range(pairs):
         for side in ("other", "this") if i % 2 == 0 else ("this", "other"):
-            seconds, rss = invoke(trees[side], argv, tmp / f"{side}{i}")
-            runs[side][0].append(seconds)
-            runs[side][1].append(rss)
+            for series, value in zip(runs[side], invoke(trees[side], argv, tmp / f"{side}{i}")):
+                series.append(value)
     this, other = (summary(*runs[side]) for side in ("this", "other"))
     ratios = [a / b for a, b in zip(runs["this"][0], runs["other"][0])]
     wins = sum(r < 1 for r in ratios)

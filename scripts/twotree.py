@@ -2,8 +2,8 @@
 runner that invokes `mmwsec` from a given `src/` in a fresh interpreter.
 
 Each command is one `mmwsec` command line.  The runner writes its output
-under a given directory, as `-o DIR/out.csv`, and returns the wall time
-and the peak resident set size of that interpreter.
+under a given directory, as `-o DIR/out.csv`, and returns the wall time,
+the CPU time and the peak resident set size of that interpreter.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ def argv_of(command: str) -> list[str]:
     return shlex.split(command)[1:]
 
 
-def invoke(src: str, argv: list[str], out_dir: Path) -> tuple[float, float]:
+def invoke(src: str, argv: list[str], out_dir: Path) -> tuple[float, float, float]:
     """Run `mmwsec argv -o out_dir/out.csv` with the package in src, in a
-    fresh interpreter; return its wall seconds and its peak RSS in MB.
-    Exits with a one-line message naming the command and src if it exits
-    nonzero."""
+    fresh interpreter; return its wall seconds, its CPU seconds (user plus
+    system) and its peak RSS in MB.  Exits with a one-line message naming
+    the command and src if it exits nonzero."""
     out_dir.mkdir(parents=True)
     cmd = [sys.executable, "-c", RUN, src, *argv, "-o", str(out_dir / "out.csv")]
     start = time.perf_counter()
@@ -61,4 +61,4 @@ def invoke(src: str, argv: list[str], out_dir: Path) -> tuple[float, float]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         sys.exit(f"`mmwsec {shlex.join(argv)}` exited with status {proc.returncode} with src {src}")
-    return seconds, usage.ru_maxrss / 1024  # Linux reports KB
+    return seconds, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024  # Linux reports KB

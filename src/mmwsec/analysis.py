@@ -17,7 +17,7 @@ module boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,12 +151,20 @@ class BeamMoments:
     their mean gain at each observer and m2 (R, C) their M2, the sum of
     squared deviations sum |g - mean|^2.  A beam that sends no symbol has
     count 0, M2 0 and a finite mean (the kernel's exact mean gain of the
-    beam), so it weighs nothing in a pool.
+    beam), so it weighs nothing in a pool.  Moments whose three arrays are
+    read-only, as a kernel block's are, keep each pool they compute
+    (`pool`).
     """
 
     count: np.ndarray
     mean: np.ndarray
     m2: np.ndarray
+    # selection key -> pool, or None where an array is writeable
+    _pools: dict | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        read_only = not any(a.flags.writeable for a in (self.count, self.mean, self.m2))
+        object.__setattr__(self, "_pools", {} if read_only else None)
 
     def at(self, cols) -> BeamMoments:
         """The moments at the observer columns cols (an index or a slice)."""
@@ -168,8 +176,33 @@ class BeamMoments:
         Groups merge by the law of total variance (the pairwise update of
         Chan, Golub & LeVeque, Am. Stat. 1983, over all beams at once):
         mean = sum n_s mean_s / n and M2 = sum M2_s + sum n_s |mean_s - mean|^2.
-        An empty selection gives n = 0 with zero mean and M2.
+        An empty selection gives n = 0 with zero mean and M2.  On read-only
+        moments a pool is a pure function of the selection, so it is
+        computed once, kept with read-only arrays, and returned again for
+        slice(None) or for an array selection of the same dtype, shape and
+        bytes (so a bool mask and an index array of equal bytes differ).
         """
+        key = self._pool_key(beams)
+        if key is None:
+            return self._pool(beams)
+        pooled = self._pools.get(key)
+        if pooled is None:
+            pooled = self._pools[key] = self._pool(beams)
+            for a in pooled[1:]:
+                if isinstance(a, np.ndarray):  # at one observer they are immutable scalars
+                    a.flags.writeable = False
+        return pooled
+
+    def _pool_key(self, beams):
+        """The key `pool` keeps a selection's result by; None if it keeps none."""
+        if self._pools is None:
+            return None
+        if isinstance(beams, slice):
+            return "all" if beams == slice(None) else None
+        sel = np.asarray(beams)
+        return sel.dtype.str, sel.shape, sel.tobytes()
+
+    def _pool(self, beams):
         n, mean, m2 = self.count[beams], self.mean[beams], self.m2[beams]
         total = int(n.sum())
         if not total:

@@ -12,7 +12,7 @@ streams are keyed so results are reproducible and schedule-independent:
 - a strategy's beam counts by (base seed, role, strategy, i, ensemble
   index), i the axis index at which the strategy's kernel block was built
   (`KernelBlock`, below): the rho_E points of one channel share that
-  block, so they draw the same counts, and on the other axes i is the
+  block and its one draw of the counts, and on the other axes i is the
   point's own index;
 - the antenna subsets of the switched and joint schemes by (base seed,
   role, j, ensemble index), j the first axis index with the point's
@@ -31,8 +31,12 @@ operator and, for switched and joint, the products of the shared subset
 mask with it.  The sweep keeps one block per strategy and drops them all
 at the next ensemble index or at a point that differs from the last in
 more than rho_E, so the rho_E points of one channel share one block per
-strategy, and its count draw and reduction with it, while each theta_E,
-antennas or paths point builds its own.
+strategy, while each theta_E, antennas or paths point builds its own.  A
+block draws its counts once (`KernelBlock.draw`), reduces them once, and
+its streams pool each eavesdropper group once (`SymbolStreams.eve`,
+`analysis.BeamMoments.pool`), so a rho_E point after the first pays only
+for its noise floor: each point still calls `simulate_streams` and its
+estimators once.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -332,12 +336,26 @@ class SymbolStreams:
     sent it and their mean gain and M2 at each of the T eavesdropper
     angles and at the receiver (column T); recv_abs_sum is the receiver's
     sum of |gain| over the block; table (T, R) marks the beams that steer a
-    path sharing angle t's cosine.  The sweep's estimators read only these.
+    path sharing angle t's cosine.  The sweep's estimators read only these,
+    through the eavesdropper views `eve` (angle 0) and `sidelobes` (angles
+    1 to T - 1), each built at its first read and kept: a view's
+    `BeamMoments.pool` keeps its pools, so every estimate of a block shared
+    by several points pools each group once.
     """
 
     moments: BeamMoments
     recv_abs_sum: float
     table: np.ndarray
+
+    @functools.cached_property
+    def eve(self) -> BeamMoments:
+        """The moments at the first eavesdropper angle (column 0)."""
+        return self.moments.at(0)
+
+    @functools.cached_property
+    def sidelobes(self) -> BeamMoments:
+        """The moments at the other eavesdropper angles: columns 1 to T - 1 (T is the receiver)."""
+        return self.moments.at(slice(1, len(self.table)))
 
 
 def _read_only(*arrays):
@@ -460,8 +478,8 @@ def _block_key(ch, cfg, kind, m_main, l_s, angles) -> tuple:
 
 class KernelBlock:
     """The work that the `simulate_streams` calls of one (strategy, channel,
-    N, m, l_s, angle tuple) share: the operator and, for switched and
-    joint, the mask products y_k = mask_k D[s] of one subset mask.
+    N, m, l_s, angle tuple) share: the draw, the operator and, for switched
+    and joint, the mask products y_k = mask_k D[s] of one subset mask.
 
     The operator (`_operator`) is built at the first call.  At the first
     masked call that sends more than one beam, each sent beam s reserves
@@ -479,11 +497,15 @@ class KernelBlock:
     draw that sends every symbol on one beam keeps no products: a repeat of
     it is served whole, and the first draw that sends several beams
     reserves the regions.
+
+    The last draw (`draw`) is kept too, with the plan function, subset
+    block and K it was drawn for: the sweep hands every rho_E point of a
+    block the same plan function, so each block draws its counts once.
     """
 
     def __init__(self, key: tuple):
         self.key = key  # `_block_key`
-        self._operator = self._mask = self._buf = self._last = None
+        self._operator = self._mask = self._buf = self._last = self._draw = None
         self._regions = {}
 
     @property
@@ -493,13 +515,34 @@ class KernelBlock:
             self._operator = _operator(*self.key)
         return self._operator
 
+    def draw(self, K: int, rng, subsets: SubsetBlock | None):
+        """(count, mask) of `_draw_weights` for this block's strategy.
+
+        A call with the plan function (the same object), subsets and K of
+        the last kept draw returns that draw without calling the function:
+        a plan function builds the same stream at every call, as the
+        sweep's do (`_kernel_block`).  A Generator advances between draws,
+        so its draws are never kept.
+        """
+        held = self._draw
+        if held is not None and held[0] is rng and held[1] is subsets and held[2] == K:
+            return held[3]
+        _, cfg, kind, m_main, _, _ = self.key
+        R = len(self.operator[1])
+        weights = _draw_weights(kind, R, cfg.n_antennas, m_main, K, rng, subsets)
+        if callable(rng):
+            self._draw = rng, subsets, K, weights
+        return weights
+
     def streams(self, count: np.ndarray, mask: np.ndarray | None) -> SymbolStreams:
         """Reduce one draw of the block (`simulate_streams`) to per-beam moments."""
         if mask is not None and mask is not self._mask:
             if self._mask is not None:
                 raise ValueError("kernel block holds the products of another subset mask")
             self._mask = mask
-        if self._last is not None and np.array_equal(count, self._last[0]):
+        if self._last is not None and (
+            count is self._last[0] or np.array_equal(count, self._last[0])
+        ):
             return self._last[1]
         table, G, _ = self.operator
         _read_only(count)
@@ -610,7 +653,9 @@ def simulate_streams(
     else they are drawn from the plan stream after the counts
     (`SubsetBlock(rng)`).  block is the `KernelBlock` of this (strategy,
     channel, N, m, l_s, angles), shared by the calls that read one mask;
-    without one the call builds its own.
+    without one the call builds its own.  A call that hands the block the
+    plan function, subsets and K of its last draw reuses that draw
+    (`KernelBlock.draw`).
 
     Returns the block as per-beam moments (`SymbolStreams`, read-only).
     Per beam the law is G (R, T + 1), each beam at each observer, so
@@ -630,8 +675,7 @@ def simulate_streams(
         block = KernelBlock(key)
     elif block.key != key:
         raise ValueError("kernel block was built for another strategy, channel or angle set")
-    R = len(block.operator[1])
-    return block.streams(*_draw_weights(kind, R, cfg.n_antennas, m_main, K, rng, subsets))
+    return block.streams(*block.draw(K, rng, subsets))
 
 
 # ---------------------------------------------------------------------------
@@ -761,10 +805,10 @@ def _sweep(spec: SweepSpec, evaluate) -> ResultTable:
     strategy keeps only the kernel block of the last key it saw, and every
     block is dropped at the first point of each ensemble index and at a
     point that differs from the last in more than rho_E: on the rho_E axis
-    the points of one channel share each strategy's block and plan stream,
-    so they draw the same counts, and on the other axes each point builds
-    its own.  Every `ok` row is checked before the table is returned
-    (`_check_row`).
+    the points of one channel share each strategy's block and plan
+    function, so the block draws their counts once, and on the other axes
+    each point builds its own.  Every `ok` row is checked before the table
+    is returned (`_check_row`).
     """
     points = [_Point.at(spec, v) for v in spec.axis_values]
     # a point can share the kernel blocks of the one before only if it differs in rho_E alone
@@ -851,10 +895,11 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
         )
         sigma_r = receiver_reference_gain(ch, kind) ** 2 / pt.rho_r
         snr_r = receiver_snr(streams.recv_abs_sum, spec.symbols_per_point, sigma_r)
-        eve, aligned = streams.moments.at(0), streams.table[0]
+        eve, aligned = streams.eve, streams.table[0]
         if joint_mix:
-            side = streams.moments.at(slice(1, len(theta_list)))
-            snr_e = location_mixture_snr(eve, aligned, side, pt.n_paths, 1.0 / pt.rho_e)
+            snr_e = location_mixture_snr(
+                eve, aligned, streams.sidelobes, pt.n_paths, 1.0 / pt.rho_e
+            )
         else:
             snr_e = alignment_mixture_snr(eve, aligned, 1.0 / pt.rho_e)
         return snr_r, snr_e

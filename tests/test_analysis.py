@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracle import beam_moments, joint_symbols, observed_gain, receiver_gain
 
 from mmwsec.analysis import (
+    BeamMoments,
     JointBetaMoments,
     alignment_mixture_snr,
     b_moments,
@@ -209,6 +210,33 @@ def test_location_mixture_hand_example():
     assert location_mixture_snr(aligned, [True], no_side, 12, 0.5) == pytest.approx(
         (2 / 12) * (9.0 / 0.5)
     )
+
+
+def test_pool_memo_returns_what_a_fresh_pool_computes():
+    # read-only moments keep each pool; in any order of asking, each selection's
+    # result has the bits of a writeable copy's pool, which keeps none.  The int
+    # index array has the bool mask's bytes, so only its dtype tells them apart
+    rng = np.random.default_rng(94)
+    count, mean = np.array([7, 0, 12, 5]), rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    m2 = rng.random((4, 3))
+    aligned = np.array([True, False, False, True])
+    selections = [aligned, ~aligned, aligned.view(np.int8), slice(None)]
+    for cols in (slice(None), 0):  # several observers, and one (scalar pools)
+        fresh = BeamMoments(count.copy(), mean.copy(), m2.copy()).at(cols)
+        want = [fresh.pool(sel) for sel in selections]
+        for order in itertools.permutations(range(len(selections))):
+            frozen = [a.copy() for a in (count, mean, m2)]
+            for a in frozen:
+                a.flags.writeable = False
+            moments = BeamMoments(*frozen).at(cols)
+            for i in order + order:  # the second pass reads the memo
+                sel = selections[i]
+                got = moments.pool(sel.copy() if isinstance(sel, np.ndarray) else sel)
+                assert got[0] == want[i][0]
+                for a, b in zip(got[1:], want[i][1:]):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                    assert not a.flags.writeable  # a numpy scalar's flags say so too
+            assert len(moments._pools) == len(selections)
 
 
 def _enumerated_joint_moments(ch, cfg, m_main, l_s, theta_e_deg):

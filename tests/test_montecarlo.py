@@ -26,7 +26,7 @@ from oracle import (
 )
 
 from mmwsec import montecarlo
-from mmwsec.analysis import alignment_mixture_snr, location_mixture_snr, receiver_snr
+from mmwsec.analysis import BeamMoments, alignment_mixture_snr, location_mixture_snr, receiver_snr
 from mmwsec.array_geometry import ArrayConfig, array_response, cos_aligned
 from mmwsec.channel import ChannelRealization, sample_channel
 from mmwsec.montecarlo import (
@@ -603,9 +603,11 @@ def test_switched_and_joint_read_one_subset_block_per_array_size_and_channel(
     assert sum(drawn) == ensemble * K * sum(sizes)  # K * N elements per (N, channel)
     blocks = list(reads.values())
     assert len(blocks) == ensemble * len(sizes)
-    points = len(spec.axis_values) // len(sizes)
-    for masks in blocks:  # switched and joint at every point of one N read the same rows
-        assert len(masks) == 2 * points
+    # switched and joint each read the mask once per kernel block: the rho_E
+    # points of one N share one block per strategy, and each antennas point
+    # is the only one of its N
+    for masks in blocks:
+        assert len(masks) == 2
         assert all(np.array_equal(masks[0], m) for m in masks)
     # each block is one whole draw keyed by the first axis index of its N, so
     # the antennas axis keeps one stream per axis index
@@ -660,9 +662,10 @@ def test_sweep_hands_over_uniform_subsets():
 
 def test_plan_streams_are_built_only_by_the_draws_that_read_them(monkeypatch):
     # conventional and switched (with the sweep's subset block) read no plan
-    # stream, so the sweep builds one per random-path and joint evaluation only,
-    # keyed by the axis index at which the evaluation's kernel block was built:
-    # the first for both rho_E points, each point's own for the theta_E points
+    # stream, so the sweep builds one per random-path and joint kernel block only,
+    # keyed by the axis index at which the block was built: one at the first
+    # index for both rho_E points, which share the block's draw, and each
+    # point's own for the theta_E points
     built = []
     spied = montecarlo._plan_rng
 
@@ -671,7 +674,7 @@ def test_plan_streams_are_built_only_by_the_draws_that_read_them(monkeypatch):
         return spied(spec, strat, axis_idx, ens)
 
     for axis, values, block_index in (
-        ("rho_e_db", (0.0, 10.0), (0, 0)), ("theta_e_deg", (40.0, 55.0), (0, 1))
+        ("rho_e_db", (0.0, 10.0), (0,)), ("theta_e_deg", (40.0, 55.0), (0, 1))
     ):
         spec = small_spec(axis=axis, axis_values=values, ensemble=2, symbols_per_point=100)
         rows = _csv_rows(spec)
@@ -704,6 +707,51 @@ def test_rho_e_points_of_one_channel_share_one_reduction(monkeypatch):
     assert len(served) == len(ALL) * 2
     for calls in served.values():
         assert len(calls) == len(values) and all(streams is calls[0] for streams in calls)
+
+
+def test_rho_e_points_of_one_channel_draw_and_pool_once(monkeypatch):
+    # the rho_E points of one (strategy, channel) share its block's one count
+    # draw and its eavesdropper views' pools, while each point still simulates
+    # its block and calls its estimators once
+    drawn, pooled, calls = Counter(), [], Counter()
+    draw, pool = montecarlo._draw_weights, BeamMoments._pool
+
+    def draw_spy(kind, *args):
+        drawn[kind] += 1
+        return draw(kind, *args)
+
+    def pool_spy(moments, beams):
+        pooled.append(moments._pool_key(beams))
+        return pool(moments, beams)
+
+    def counted(name):
+        fn = getattr(montecarlo, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return spy
+
+    monkeypatch.setattr(montecarlo, "_draw_weights", draw_spy)
+    monkeypatch.setattr(BeamMoments, "_pool", pool_spy)
+    estimators = ("receiver_snr", "alignment_mixture_snr", "location_mixture_snr")
+    for name in ("simulate_streams", *estimators):
+        monkeypatch.setattr(montecarlo, name, counted(name))
+    values, ensemble = (0.0, 10.0, 20.0), 2
+    run_sweep(
+        small_spec(axis="rho_e_db", axis_values=values, ensemble=ensemble, symbols_per_point=200)
+    )
+    assert drawn == {kind: ensemble for kind in ALL}
+    # two groups per (strategy, channel), each pooled at its first point and kept:
+    # the unaligned and aligned beams at the eavesdropper, or, as theta_E =
+    # theta_R lies on a transmit angle of joint, joint's mainlobe and its pool of
+    # every beam at the sidelobe angles
+    assert len(pooled) == ensemble * len(ALL) * 2 and None not in pooled
+    points = len(ALL) * len(values) * ensemble
+    assert calls["simulate_streams"] == calls["receiver_snr"] == points
+    assert calls["location_mixture_snr"] == len(values) * ensemble
+    assert calls["alignment_mixture_snr"] == points - calls["location_mixture_snr"]
 
 
 def test_mean_gain_is_computed_once_per_channel(monkeypatch):
