@@ -27,8 +27,16 @@ the sweep's do, and where the streams hold the eavesdropper views
 (`SymbolStreams.eve`), the estimates read them, as the sweep does.  The
 other tree's `simulate_streams` must accept a plan function.
 
+With `--other`, it compares two trees instead: each pair runs this script
+once on `--src` and once on `--other`, each in a fresh interpreter, and
+the order flips every pair (pair 0 runs the other tree first), as
+`pairs.py` does.  It prints, per column and configuration, each side's
+median over the pairs, how many pairs `--src` read lower (wins) and how
+many read the same (ties).
+
     python3 scripts/kernel_ms.py                      # this checkout's src/
     python3 scripts/kernel_ms.py --src OTHER/src      # another checkout
+    python3 scripts/kernel_ms.py --other OTHER/src --pairs 10
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import itertools
 import json
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -51,12 +60,43 @@ POOLS = (5, 12)
 K, L, THETA_R, ANGLES, NOISE = 10_000, 12, 40.0, (40.0, 55.0), 10**-1.5
 REPS, REPS_LARGE = 11, 5
 POINTS = 9  # figure 3's rho_E points
+COLUMNS = ("median_ms", "median_minor_faults", "figure3_ms")
+
+
+def alternate(trees: dict[str, str], pairs: int) -> dict:
+    """Each column's per-configuration medians of both trees over `pairs`
+    alternating pairs of fresh interpreters, with this tree's wins and ties."""
+    runs = {side: [] for side in trees}
+    for i in range(pairs):
+        for side in ("other", "this") if i % 2 == 0 else ("this", "other"):
+            cmd = [sys.executable, __file__, "--src", trees[side]]
+            out = subprocess.run(cmd, check=True, capture_output=True).stdout
+            runs[side].append(json.loads(out))
+    report = {**trees, "pairs": pairs}
+    for column in COLUMNS:
+        report[column] = {}
+        for label in runs["this"][0][column]:
+            this, other = ([run[column][label] for run in runs[side]] for side in ("this", "other"))
+            report[column][label] = {
+                "this": statistics.median(this),
+                "other": statistics.median(other),
+                "wins": sum(a < b for a, b in zip(this, other)),
+                "ties": sum(a == b for a, b in zip(this, other)),
+            }
+    return report
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--other", help="another checkout's src/, timed in alternating pairs")
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.other:
+        if args.pairs < 2:
+            parser.error("--pairs must be >= 2")
+        print(json.dumps(alternate({"this": args.src, "other": args.other}, args.pairs), indent=1))
+        return 0
     sys.path.insert(0, args.src)
     from mmwsec import analysis
     from mmwsec.array_geometry import ArrayConfig

@@ -27,16 +27,15 @@ only how many symbols send each beam is drawn (`_draw_weights`), and
 (`analysis.BeamMoments`), not per-symbol gains.  What does not depend on
 the draw is built once per (strategy, channel, N, m, l_s, angle tuple)
 and shared by every call of that key (`KernelBlock`): the observation
-operator and, for switched and joint, the products of the shared subset
-mask with it.  The sweep keeps one block per strategy and drops them all
-at the next ensemble index or at a point that differs from the last in
-more than rho_E, so the rho_E points of one channel share one block per
+operator.  The sweep keeps one block per strategy and drops them all at
+the next ensemble index or at a point that differs from the last in more
+than rho_E, so the rho_E points of one channel share one block per
 strategy, while each theta_E, antennas or paths point builds its own.  A
-block draws its counts once (`KernelBlock.draw`), reduces them once, and
-its streams pool each eavesdropper group once (`SymbolStreams.eve`,
-`analysis.BeamMoments.pool`), so a rho_E point after the first pays only
-for its noise floor: each point still calls `simulate_streams` and its
-estimators once.
+block draws its counts once and keeps their one reduction
+(`KernelBlock.streams`), and its streams pool each eavesdropper group
+once (`SymbolStreams.eve`, `analysis.BeamMoments.pool`), so a rho_E point
+after the first pays only for its noise floor: each point still calls
+`simulate_streams` and its estimators once.
 
 Noise floors are anchored per link-quality convention: the receiver's
 noise power is set from its strategy's reference channel gain (strongest
@@ -477,36 +476,22 @@ def _block_key(ch, cfg, kind, m_main, l_s, angles) -> tuple:
 
 
 class KernelBlock:
-    """The work that the `simulate_streams` calls of one (strategy, channel,
-    N, m, l_s, angle tuple) share: the draw, the operator and, for switched
-    and joint, the mask products y_k = mask_k D[s] of one subset mask.
+    """What the `simulate_streams` calls of one (strategy, channel, N, m,
+    l_s, angle tuple) share: the operator (`_operator`), built at the first
+    call, and one reduction (`_reduce`), kept with the plan function,
+    subset block and K its counts were drawn for.
 
-    The operator (`_operator`) is built at the first call.  At the first
-    masked call that sends more than one beam, each sent beam s reserves
-    the symbols [start_s - pad, end_s + pad) ∩ [0, K), pad = 2 isqrt(K),
-    as its region of one product buffer, allocated once and never grown; a
-    beam's start moves by about sqrt(K) / 2 between calls that draw fresh
-    counts.  A region's rows are written in place when a call first reads
-    them, in GEMMs of at most `_chunk_symbols` rows, and each beam's written
-    rows stay one run: a read extends it to the smallest run that holds
-    both, writing only the rows it adds.  Rows a call reads outside its
-    beam's region are computed for that call only.  Every call must read
-    the same mask, the one the products were formed from.  The last
-    reduction is kept, so a call whose counts equal it (switched's [0, K],
-    conventional's [K]) returns the same read-only `SymbolStreams`.  So a
-    draw that sends every symbol on one beam keeps no products: a repeat of
-    it is served whole, and the first draw that sends several beams
-    reserves the regions.
-
-    The last draw (`draw`) is kept too, with the plan function, subset
-    block and K it was drawn for: the sweep hands every rho_E point of a
-    block the same plan function, so each block draws its counts once.
+    A call that hands the block the same three (the same function and
+    block objects) gets that `SymbolStreams` back without drawing: a plan
+    function builds the same stream at every call, as the sweep's do
+    (`_kernel_block`), so the rho_E points of one block draw and reduce
+    once.  A Generator advances between draws, so its reductions are never
+    kept.
     """
 
     def __init__(self, key: tuple):
         self.key = key  # `_block_key`
-        self._operator = self._mask = self._buf = self._last = self._draw = None
-        self._regions = {}
+        self._operator = self._kept = None
 
     @property
     def operator(self):
@@ -515,110 +500,49 @@ class KernelBlock:
             self._operator = _operator(*self.key)
         return self._operator
 
-    def draw(self, K: int, rng, subsets: SubsetBlock | None):
-        """(count, mask) of `_draw_weights` for this block's strategy.
-
-        A call with the plan function (the same object), subsets and K of
-        the last kept draw returns that draw without calling the function:
-        a plan function builds the same stream at every call, as the
-        sweep's do (`_kernel_block`).  A Generator advances between draws,
-        so its draws are never kept.
-        """
-        held = self._draw
-        if held is not None and held[0] is rng and held[1] is subsets and held[2] == K:
-            return held[3]
+    def streams(self, K: int, rng, subsets: SubsetBlock | None) -> SymbolStreams:
+        """Draw K symbols of the block's strategy (`_draw_weights`) and reduce them."""
+        kept = self._kept
+        if kept is not None and kept[0] is rng and kept[1] is subsets and kept[2] == K:
+            return kept[3]
         _, cfg, kind, m_main, _, _ = self.key
-        R = len(self.operator[1])
-        weights = _draw_weights(kind, R, cfg.n_antennas, m_main, K, rng, subsets)
+        table, G, D = self.operator
+        count, mask = _draw_weights(kind, len(G), cfg.n_antennas, m_main, K, rng, subsets)
+        streams = _reduce(table, G, D, count, mask)
         if callable(rng):
-            self._draw = rng, subsets, K, weights
-        return weights
-
-    def streams(self, count: np.ndarray, mask: np.ndarray | None) -> SymbolStreams:
-        """Reduce one draw of the block (`simulate_streams`) to per-beam moments."""
-        if mask is not None and mask is not self._mask:
-            if self._mask is not None:
-                raise ValueError("kernel block holds the products of another subset mask")
-            self._mask = mask
-        if self._last is not None and (
-            count is self._last[0] or np.array_equal(count, self._last[0])
-        ):
-            return self._last[1]
-        table, G, _ = self.operator
-        _read_only(count)
-        if mask is None:  # every symbol of beam s has the gain G[s]
-            moments = BeamMoments(count, G, *_read_only(np.zeros(G.shape)))
-            streams = SymbolStreams(moments, float(count @ np.abs(G[:, -1])), table)
-        else:
-            streams = self._masked_streams(count, table, G)
-        self._last = count, streams
+            self._kept = rng, subsets, K, streams
         return streams
 
-    def _masked_streams(self, count, table, G):
-        end = np.cumsum(count)
-        start = end - count
-        sent = np.flatnonzero(count)  # masked symbols never send beam 0
-        segments = list(zip(sent.tolist(), start[sent].tolist(), end[sent].tolist()))
-        if self._buf is None and len(segments) > 1:
-            self._reserve(segments)
-        sums = np.empty((len(sent), G.shape[1]), dtype=complex)
-        squares = np.empty(sums.shape)
-        recv = np.empty(len(self._mask))  # the receiver's |G[s, T] + y_k| per symbol
-        for i, (s, a, b) in enumerate(segments):
-            y = self._products(s, a, b)
-            yf = y.view(float)
-            sums[i] = np.add.reduceat(y, [0], axis=0)[0]
-            squares[i] = np.einsum("ij,ij->j", yf, yf).reshape(-1, 2).sum(axis=1)
-            np.abs(y[:, -1] + G[s, -1], out=recv[a:b])
-        n_sent = count[sent, None]
-        mean, m2 = G.copy(), np.zeros(G.shape)
-        mean[sent] += sums / n_sent
-        m2[sent] = np.maximum(squares - np.abs(sums) ** 2 / n_sent, 0.0)
-        return SymbolStreams(BeamMoments(count, *_read_only(mean, m2)), float(recv.sum()), table)
 
-    def _reserve(self, segments):
-        """Allocate the product buffer: one region per (beam, start, end) the first draw sent."""
-        K = len(self._mask)
-        pad, rows = 2 * math.isqrt(K), 0
-        for s, a, b in segments:
-            lo, hi = max(a - pad, 0), min(b + pad, K)
-            self._regions[s] = [lo, hi, rows - lo, lo, lo]  # region, buffer row of symbol 0, run
-            rows += hi - lo
-        self._buf = np.empty((rows, self.operator[1].shape[1]), dtype=complex)
-
-    def _products(self, s, a, b):
-        """y_k = mask_k D[s] for the symbols [a, b), as one contiguous read-only array."""
-        D = self.operator[2][s]
-        lo, hi, shift, r0, r1 = self._regions.get(s, (0, 0, 0, 0, 0))
-        ia, ib = max(a, lo), min(b, hi)  # the symbols inside the region
-        if ia < ib:
-            if r0 == r1:  # nothing written yet
-                r0 = r1 = ia
-            if ia < r0:
-                self._gemm(D, ia, r0, self._buf[shift + ia : shift + r0])
-            if r1 < ib:
-                self._gemm(D, r1, ib, self._buf[shift + r1 : shift + ib])
-            self._regions[s][3:] = min(r0, ia), max(r1, ib)
-            inside = self._buf[shift + ia : shift + ib]
-            if (ia, ib) == (a, b):
-                inside.flags.writeable = False
-                return inside
-        y = np.empty((b - a, self.operator[1].shape[1]), dtype=complex)
-        if ia < ib:
-            y[ia - a : ib - a] = inside
-            self._gemm(D, a, ia, y[: ia - a])
-            self._gemm(D, ib, b, y[ib - a :])
-        else:
-            self._gemm(D, a, b, y)
-        y.flags.writeable = False
-        return y
-
-    def _gemm(self, D, a, b, out):
-        """Write mask_k D for the symbols [a, b) into out, at most `_chunk_symbols` rows per GEMM."""
-        of, step = out.view(float), _chunk_symbols(self._mask.shape[1])
-        for lo in range(a, b, step):
+def _reduce(table, G, D, count, mask) -> SymbolStreams:
+    """One draw (count, mask) of `_draw_weights` on the operator (table, G,
+    D) of `_operator`, reduced to per-beam moments (`simulate_streams`)."""
+    _read_only(count)
+    if mask is None:  # every symbol of beam s has the gain G[s]
+        moments = BeamMoments(count, G, *_read_only(np.zeros(G.shape)))
+        return SymbolStreams(moments, float(count @ np.abs(G[:, -1])), table)
+    end = np.cumsum(count)
+    start = end - count
+    sent = np.flatnonzero(count)  # masked symbols never send beam 0
+    squares = np.empty((len(sent), G.shape[1]))
+    recv = np.empty(len(mask))  # the receiver's |G[s, T] + y_k| per symbol
+    # y is one array for the whole block, not one per beam (a fresh array per
+    # beam is a fresh mmap each time), and allocated after the small arrays
+    # (allocated before them, its pages faulted in again per block; README)
+    y = np.empty((len(mask), G.shape[1]), dtype=complex)
+    yf, step = y.view(float), _chunk_symbols(mask.shape[1])
+    for i, (s, a, b) in enumerate(zip(sent.tolist(), start[sent].tolist(), end[sent].tolist())):
+        for lo in range(a, b, step):  # y_k = mask_k D[s], at most `_chunk_symbols` rows per GEMM
             hi = min(lo + step, b)
-            np.matmul(self._mask[lo:hi].astype(float), D, out=of[lo - a : hi - a])
+            np.matmul(mask[lo:hi].astype(float), D[s], out=yf[lo:hi])
+        squares[i] = np.einsum("ij,ij->j", yf[a:b], yf[a:b]).reshape(-1, 2).sum(axis=1)
+        np.abs(y[a:b, -1] + G[s, -1], out=recv[a:b])
+    sums = np.add.reduceat(y, start[sent], axis=0)  # the last sent beam ends at K
+    n_sent = count[sent, None]
+    mean, m2 = G.copy(), np.zeros(G.shape)
+    mean[sent] += sums / n_sent
+    m2[sent] = np.maximum(squares - np.abs(sums) ** 2 / n_sent, 0.0)
+    return SymbolStreams(BeamMoments(count, *_read_only(mean, m2)), float(recv.sum()), table)
 
 
 def simulate_streams(
@@ -652,20 +576,20 @@ def simulate_streams(
     strategy and the other axis points of the same array size, when given;
     else they are drawn from the plan stream after the counts
     (`SubsetBlock(rng)`).  block is the `KernelBlock` of this (strategy,
-    channel, N, m, l_s, angles), shared by the calls that read one mask;
-    without one the call builds its own.  A call that hands the block the
-    plan function, subsets and K of its last draw reuses that draw
-    (`KernelBlock.draw`).
+    channel, N, m, l_s, angles); without one the call builds its own.  A
+    call that hands the block the plan function, subsets and K of its kept
+    reduction gets that reduction back (`KernelBlock.streams`).
 
     Returns the block as per-beam moments (`SymbolStreams`, read-only).
     Per beam the law is G (R, T + 1), each beam at each observer, so
     conventional and random-path symbols on beam s all have the gain G[s]:
     mean G[s], M2 0.  The masked strategies add a random part
     y_k = mask_k D[s].  Beam s is sent by the contiguous symbols
-    [start_s, end_s), whose products the block hands over as one
-    contiguous array (`KernelBlock`); its sum is one `np.add.reduceat` and
-    its sum of |y|^2 one einsum, and mean = G[s] + sum y / n_s and
-    M2 = sum |y|^2 - |sum y|^2 / n_s, clipped at 0.  For these strategies
+    [start_s, end_s), whose products fill those rows of one (K, T + 1)
+    array per reduction (`_reduce`); one `np.add.reduceat` sums every sent
+    beam's rows and one einsum per beam gives its sum of |y|^2, and
+    mean = G[s] + sum y / n_s and M2 = sum |y|^2 - |sum y|^2 / n_s,
+    clipped at 0.  For these strategies
     G[s] is the beam's mean gain over the subsets and y its zero-mean
     random part, so the raw sums lose no digits to cancellation.  The
     receiver's |G[s, T] + y_k| fill one float per symbol, summed once.
@@ -675,7 +599,7 @@ def simulate_streams(
         block = KernelBlock(key)
     elif block.key != key:
         raise ValueError("kernel block was built for another strategy, channel or angle set")
-    return block.streams(*block.draw(K, rng, subsets))
+    return block.streams(K, rng, subsets)
 
 
 # ---------------------------------------------------------------------------

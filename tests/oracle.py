@@ -95,8 +95,14 @@ def kernel_gains(ch, cfg, kind, m, l_s, thetas, K, seed):
     is row = repeat(arange(R), count), and symbol k's gain is G[row_k] plus,
     for the masked strategies, mask_k D[row_k] viewed as complex.
     """
-    table, G, D = _operator(ch, cfg, kind, m, l_s, tuple(np.asarray(thetas, float).tolist()))
-    row, mask = _rows(kind, len(G), cfg.n_antennas, m, K, seed)
+    operator = _operator(ch, cfg, kind, m, l_s, tuple(np.asarray(thetas, float).tolist()))
+    rng = np.random.default_rng(seed)
+    return draw_gains(*operator, *_draw_weights(kind, len(operator[1]), cfg.n_antennas, m, K, rng))
+
+
+def draw_gains(table, G, D, count, mask):
+    """The per-symbol gains of the draw (count, mask) on the operator (table, G, D)."""
+    row = np.repeat(np.arange(len(G)), count)
     gains = G[row]
     if mask is not None:
         gains = gains + np.einsum("kn,knj->kj", mask.astype(float), D[row]).view(complex)

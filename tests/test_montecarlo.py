@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from oracle import (
     alignment_mixture_snr_of_samples,
     beam_moments,
+    draw_gains,
     joint_symbols,
     kernel_gains,
     location_mixture_snr_of_samples,
@@ -460,24 +461,26 @@ def test_operator_memo_is_read_only_and_cleared_per_sweep(monkeypatch):
     for kind in ALL:
         block = KernelBlock(_block_key(ch, cfg, kind, 6, 4, [55.0]))
         args = (ch, cfg, kind, 6, 4, [55.0], 100)
-        first = simulate_streams(*args, np.random.default_rng(84), subsets, block)
+        plan = functools.partial(np.random.default_rng, 84)
+        first = simulate_streams(*args, plan, subsets, block)
         shared = [
             *montecarlo._beams(ch, cfg, kind, 6, 4),
             *block.operator,
             subsets.mask(100, 16, 6),
             first.moments.count, first.moments.mean, first.moments.m2, first.table,
         ]
-        # only joint sends several beams, so only its block keeps a product buffer
-        assert (block._buf is not None) == (kind is StrategyKind.JOINT_PATH_ANTENNA)
-        if block._buf is not None:  # the products it hands out, in and beyond its regions
-            shared += [block._products(s, 0, 100) for s in np.flatnonzero(first.moments.count)]
         for a in shared:
             if a is not None:
                 assert not a.flags.writeable
-        again = simulate_streams(*args, np.random.default_rng(87), subsets, block)
-        # switched's [0, K] and conventional's [K] repeat, so their reduction is served again
-        repeats = kind in (StrategyKind.CONVENTIONAL, StrategyKind.SWITCHED_ARRAY)
-        assert (again is first) == repeats
+        # a repeat with the same plan function is served the kept reduction, and
+        # a Generator's draw is never kept
+        assert simulate_streams(*args, plan, subsets, block) is first
+        drawn = simulate_streams(*args, np.random.default_rng(84), subsets, block)
+        assert drawn is not first
+        assert simulate_streams(*args, np.random.default_rng(84), subsets, block) is not drawn
+        assert simulate_streams(*args, plan, subsets, block) is first
+    with pytest.raises(ValueError, match="built for another"):
+        simulate_streams(ch, cfg, kind, 6, 4, [40.0], 100, plan, subsets, block)
 
     made = []
 
@@ -506,35 +509,33 @@ def test_operator_memo_is_read_only_and_cleared_per_sweep(monkeypatch):
         assert all(r() is None for r in made)  # none outlives the sweep
 
 
-def test_kernel_block_serves_draws_inside_and_outside_its_regions():
-    # K = 400, so each beam's region is its first segment widened by 40 symbols:
-    # [0, 140), [60, 240) and [160, 400); beam 4 sends nothing at first, so it has none
+def test_masked_reduction_matches_two_pass_statistics_on_any_counts():
+    # joint counts over one K = 400 mask, reduced by one reduceat over the sent
+    # beams' starts: beams that send nothing first, inside and last, and
+    # segments of many lengths, against two-pass statistics of the same gains
     K, cfg, m, l_s, thetas = 400, ArrayConfig(16), 6, 5, [40.0, 55.0, 70.0]
     ch = sample_channel(8, THETA_R, np.random.default_rng(88))
     mask = SubsetBlock(np.random.default_rng(89)).mask(K, 16, m)
     key = _block_key(ch, cfg, StrategyKind.JOINT_PATH_ANTENNA, m, l_s, thetas)
-    block = KernelBlock(key)
+    operator = montecarlo._operator(*key)
     draws = [
-        [0, 100, 100, 200, 0],  # reserves the regions
-        [0, 110, 90, 200, 0],  # every segment inside its region
-        [0, 150, 120, 130, 0],  # beams 1 and 2 reach past their regions' ends
-        [0, 240, 110, 0, 50],  # beam 2 wholly past its region; beam 4 has none
+        [0, 100, 100, 200, 0],
+        [0, 110, 90, 200, 0],
+        [0, 150, 120, 130, 0],
+        [0, 240, 110, 0, 50],
+        [0, 0, 0, 0, 400],
+        [0, 1, 0, 398, 1],
     ]
-    pointer = None
-    for count in draws:
-        count = np.array(count)
-        got, ref = block.streams(count, mask), KernelBlock(key).streams(count.copy(), mask)
-        pointer = pointer or block._buf.ctypes.data
-        assert block._buf.ctypes.data == pointer  # one buffer, never reallocated
-        assert np.array_equal(got.moments.count, ref.moments.count)
-        for a, b in ((got.moments.mean, ref.moments.mean), (got.moments.m2, ref.moments.m2)):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
-        assert got.recv_abs_sum == pytest.approx(ref.recv_abs_sum, rel=1e-12)
-    assert len(block._buf) == 140 + 180 + 240
-    with pytest.raises(ValueError, match="another subset mask"):
-        block.streams(np.array(draws[1]), mask.copy())
-    with pytest.raises(ValueError, match="built for another"):
-        simulate_streams(*key[:5], [40.0], K, None, None, block)
+    for count in map(np.array, draws):
+        got = montecarlo._reduce(*operator, count, mask)
+        g = draw_gains(*operator, count, mask)
+        ref = beam_moments(np.vstack([g.eaves, g.recv]), g.row, len(count))
+        assert np.array_equal(got.moments.count, count)
+        sent = count > 0
+        assert np.allclose(got.moments.mean[sent], ref.mean[sent], rtol=0, atol=1e-12)
+        assert np.array_equal(got.moments.mean[~sent], operator[1][~sent])
+        assert np.allclose(got.moments.m2, ref.m2, rtol=0, atol=1e-12)
+        assert got.recv_abs_sum == pytest.approx(np.abs(g.recv).sum(), rel=1e-12)
 
 
 SHARING_SPECS = [
