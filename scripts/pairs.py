@@ -11,7 +11,9 @@ this tree won, and whether it won at least 9 in 10 of them with a median
 below the other's by more than the other's interquartile range.  With no
 command after `--`, it times `twotree.NORTH_STAR`.  The command omits the
 program name; a run that exits nonzero stops the script with a one-line
-message naming the command and the tree's src/.
+message naming the command and the tree's src/.  `pairs.py --src
+OTHER/src -- --version` times a fresh interpreter's import of
+`mmwsec.cli`, which is what the benchmark's `setup_s` measures.
 
     python3 scripts/pairs.py --src OTHER/src --pairs 10 -- figure 3 --ensemble 8
     python3 scripts/pairs.py --src OTHER/src       # the north-star commands

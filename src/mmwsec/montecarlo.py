@@ -21,27 +21,23 @@ streams are keyed so results are reproducible and schedule-independent:
   (`SubsetBlock`), so schemes and points compare on common random
   numbers, and no row depends on which other strategies a sweep requests.
 
+A strategy's law on one channel is one record (`Beams`, built by
+`_beams`): the beams a symbol may send and the probability p of each.
 The receiver knows the schedule, so a block's symbols are exchangeable:
-only how many symbols send each beam is drawn (`_draw_weights`), and
-`simulate_streams` hands the estimators per-beam moments
-(`analysis.BeamMoments`), not per-symbol gains.  What does not depend on
-the draw is built once per (strategy, channel, N, m, l_s, angle tuple)
-and shared by every call of that key (`KernelBlock`): the observation
-operator.  The sweep keeps one block per strategy and drops them all at
-the next ensemble index or at a point that differs from the last in more
-than rho_E, so the rho_E points of one channel share one block per
-strategy, while each theta_E, antennas or paths point builds its own.  A
-block draws its counts once and keeps their one reduction
-(`KernelBlock.streams`), and its streams pool each eavesdropper group
-once (`SymbolStreams.eve`, `analysis.BeamMoments.pool`), so a rho_E point
-after the first pays only for its noise floor: each point still calls
-`simulate_streams` and its estimators once.
+only how many send each beam is drawn (`_draw_weights`), K p when p is
+one-hot and else multinomial(K, p), then a masked strategy's antenna
+subsets; `simulate_streams` hands the estimators per-beam moments
+(`analysis.BeamMoments`), not per-symbol gains.  The rho_E points of one
+channel share one `KernelBlock` per strategy (`_sweep`): its operator,
+its one draw and reduction, and its pools of each eavesdropper group
+(`SymbolStreams.eve`), so a rho_E point after the first pays only for
+its noise floor.
 
 Noise floors are anchored per link-quality convention: the receiver's
-noise power is set from its strategy's reference channel gain (strongest
-path for the static beams, all-path mean for the randomized techniques)
-so that the configured rho_R measures the quality of the link actually
-used.  The eavesdropper carries unit channel gain and noise 1/rho_E.
+noise power is set from its strategy's reference channel gain (the
+strongest path, or the all-path mean: `receiver_reference_gain`) so that
+the configured rho_R measures the quality of the link actually used.  The
+eavesdropper carries unit channel gain and noise 1/rho_E.
 """
 
 from __future__ import annotations
@@ -364,72 +360,74 @@ def _read_only(*arrays):
     return arrays
 
 
-def _beams(ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int):
-    """The deterministic half of a strategy's draw: (B, cand, steer).
+@dataclass(frozen=True, eq=False)
+class Beams:
+    """One strategy's law on one channel (`_beams`), read-only: R unit-power
+    beams B (R, n), the candidate path indices cand, the candidates each
+    beam's symbols steer, steer (R, S), as indices into cand, and p (R,),
+    the probability that a symbol sends each beam.  A masked strategy
+    (`StrategyKind.masked`) switches each symbol's m-subset to the main beam
+    B[0]; mean_reference anchors the receiver at the all-path mean gain, not
+    the strongest path's (`receiver_reference_gain`)."""
 
-    R unit-power beams B (R, n), the candidate path indices cand, and the
-    candidates each beam's symbols steer, as indices into cand (R, S),
-    as read-only arrays.
-    """
-    n, L = cfg.n_antennas, ch.n_paths
+    B: np.ndarray
+    cand: np.ndarray
+    steer: np.ndarray
+    p: np.ndarray
+    masked: bool
+    mean_reference: bool
+
+
+def _beams(ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int):
+    """The `Beams` of one strategy on one channel: the deterministic half of its draw."""
+    n, L, strongest = cfg.n_antennas, ch.n_paths, np.array([ch.strongest_index])
     if kind is StrategyKind.CONVENTIONAL:  # one static beam at the strongest path
-        cand, steer = np.array([ch.strongest_index]), np.zeros((1, 1), dtype=int)
+        cand, steer, p, mean_ref = strongest, np.zeros((1, 1), dtype=int), [1], False
         B = array_response(cfg, ch.strongest_aod_deg)[None, :]
     elif kind is StrategyKind.SWITCHED_ARRAY:  # a fresh m-subset of that beam per symbol
         if not 1 <= m_main <= n:
             raise ValueError(f"subset size m must lie in [1, {n}], got {m_main}")
-        cand, steer = np.array([ch.strongest_index]), np.zeros((2, 1), dtype=int)
+        cand, steer, p, mean_ref = strongest, np.zeros((2, 1), dtype=int), [0, 1], False
         beam = np.exp(1j * steering_phases(cfg, ch.strongest_aod_deg)) / math.sqrt(m_main)
         B = np.stack([beam, np.zeros(n, dtype=complex)])  # off-subset antennas are silent
     elif kind is StrategyKind.RANDOM_PATH:  # the full beam at a uniformly drawn path
-        cand, steer = np.arange(L), np.arange(L)[:, None]
+        cand, steer, p, mean_ref = np.arange(L), np.arange(L)[:, None], np.full(L, 1 / L), True
         B = array_response(cfg, ch.aods_deg[:, None])
     elif kind is StrategyKind.JOINT_PATH_ANTENNA:  # m-subset at the strongest, rest at a pool path
         check_joint(m_main, l_s, n, L)
         cand = np.array([ch.strongest_index, *secondary_pool(ch, l_s)])
         steer = np.stack([np.zeros(cand.size, dtype=int), np.arange(cand.size)], axis=1)
+        p, mean_ref = [0, *np.full(cand.size - 1, 1 / (cand.size - 1))], True
         B = array_response(cfg, ch.aods_deg[cand][:, None])
     else:
         raise ValueError(f"unknown strategy {kind}")
-    return _read_only(B, cand, steer)
+    B, cand, steer, p = _read_only(B, cand, steer, np.array(p, dtype=float))
+    return Beams(B, cand, steer, p, kind.masked, mean_ref)
 
 
-def _draw_weights(
-    kind: StrategyKind, R: int, n: int, m_main: int, K: int, rng, subsets: SubsetBlock | None = None
-):
+def _draw_weights(beams: Beams, m_main: int, K: int, rng, subsets: SubsetBlock | None = None):
     """Draw, in factored form, the weights K symbols of one strategy send.
 
     Returns (count, mask): how many of the K symbols send each of the
-    strategy's R beams B (`_beams`), (R,); beam s is sent by the count[s]
-    symbols after those of beams 0 to s - 1.  The symbols of a block are
-    exchangeable (the receiver knows the schedule), so only the counts are
-    drawn: conventional sends [K] and switched [0, K]; the random-path
-    counts are multinomial(K, 1/R), and joint's are 0 on the main beam and
-    multinomial(K, 1/(R - 1)) over the pool beams.
-    Conventional and random-path send B[s] itself (mask is None).  Switched
-    and joint send w_k = B[s] + mask_k (B[0] - B[s]): the antennas on
-    symbol k's m-subset carry the main beam B[0]; mask (K, n) is read from
-    `subsets` if given, else drawn from the plan stream after the counts
-    (`SubsetBlock`).  rng is the plan stream, or a function of no arguments
-    that returns it; a draw that reads no stream never calls it.
+    strategy's R beams (`Beams`), (R,), beam s by the count[s] symbols
+    after those of beams 0 to s - 1, and a masked strategy's m-subsets
+    (K, n), else None.  The receiver knows the schedule, so only the counts
+    are drawn: K p when p is one-hot, else multinomial(K, p).  The mask is
+    read from `subsets` if given, else drawn from the plan stream after the
+    counts (`SubsetBlock`).  rng is the plan stream, or a function of no
+    arguments that returns it, called at most once, by a draw that reads it.
     """
-    if kind is StrategyKind.CONVENTIONAL:
-        return np.array([K]), None
-    if kind is StrategyKind.SWITCHED_ARRAY and subsets is not None:
-        return np.array([0, K]), subsets.mask(K, n, m_main)
-    rng = rng() if callable(rng) else rng
-    if kind is StrategyKind.RANDOM_PATH:
-        return rng.multinomial(K, np.full(R, 1 / R)), None
-    if kind is StrategyKind.SWITCHED_ARRAY:
-        count = np.array([0, K])
-    else:  # every pool count before any subset
-        count = np.array([0, *rng.multinomial(K, np.full(R - 1, 1 / (R - 1)))])
-    return count, (SubsetBlock(rng) if subsets is None else subsets).mask(K, n, m_main)
+    if (beams.p == 1).any():  # every symbol sends one beam: no stream is read
+        count = (K * beams.p).astype(int)
+    else:
+        rng = rng() if callable(rng) else rng
+        count = rng.multinomial(K, beams.p)
+    if beams.masked and subsets is None:
+        subsets = SubsetBlock(rng() if callable(rng) else rng)
+    return count, (subsets.mask(K, beams.B.shape[1], m_main) if beams.masked else None)
 
 
-def _operator(
-    ch: ChannelRealization, cfg: ArrayConfig, kind: StrategyKind, m_main: int, l_s: int, angles
-):
+def _operator(ch: ChannelRealization, cfg: ArrayConfig, beams: Beams, m_main: int, angles):
     """The angle-dependent observation operator of one (strategy, channel).
 
     Per beam s the observers are the T eavesdroppers at `angles` (a tuple
@@ -437,16 +435,16 @@ def _operator(
     sqrt(N/L) conj(sum of alpha_l a(theta_l)) over the paths beam s steers.
     Returns (table, G, D): the alignment table (T, R), true where beam s
     steers a path sharing angle t's cosine; each beam at each observer,
-    G (R, T + 1) with the receiver last; and, for the masked strategies,
+    G (R, T + 1) with the receiver last; and, for a masked strategy,
     the mask GEMM operands D (R, n, 2(T + 1)), the real and imaginary parts
     of (observers * (B[0] - B[s]))^T interleaved so a product views as
-    complex (None otherwise).  For the masked strategies each antenna's
+    complex (None otherwise).  For a masked strategy each antenna's
     term of D[s] is taken less its mean over the n antennas, and G[s] is
     the gain of B[s] plus m_main times that mean: the beam's mean gain over
     the m-subsets, with mask D[s] the zero-mean rest.  The arrays are
     read-only: a `KernelBlock` builds them once and shares them.
     """
-    B, cand, steer = _beams(ch, cfg, kind, m_main, l_s)
+    B, cand, steer = beams.B, beams.cand, beams.steer
     n, L, T = cfg.n_antennas, ch.n_paths, len(angles)
     thetas, cand_aods = np.array(angles, dtype=float), ch.aods_deg[cand]
     table = cos_aligned(thetas[:, None], cand_aods)[:, steer].any(axis=2)
@@ -457,7 +455,7 @@ def _operator(
     obs[:, T] = scale * np.conj(steered.sum(axis=1))
     G = (obs @ B[:, :, None])[:, :, 0]
     D = None
-    if kind in (StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA):
+    if beams.masked:
         D = np.empty((len(B), n, T + 1), dtype=complex)  # viewed as float: re, im interleaved
         np.multiply(obs.transpose(0, 2, 1), (B[0] - B)[:, :, None], out=D)
         # every mask holds m_main ones, so moving each antenna's term by the mean
@@ -477,9 +475,10 @@ def _block_key(ch, cfg, kind, m_main, l_s, angles) -> tuple:
 
 class KernelBlock:
     """What the `simulate_streams` calls of one (strategy, channel, N, m,
-    l_s, angle tuple) share: the operator (`_operator`), built at the first
-    call, and one reduction (`_reduce`), kept with the plan function,
-    subset block and K its counts were drawn for.
+    l_s, angle tuple) share: the strategy's `Beams` and the operator
+    (`_operator`), built at the first call, and one reduction (`_reduce`),
+    kept with the plan function, subset block and K its counts were drawn
+    for.
 
     A call that hands the block the same three (the same function and
     block objects) gets that `SymbolStreams` back without drawing: a plan
@@ -491,23 +490,26 @@ class KernelBlock:
 
     def __init__(self, key: tuple):
         self.key = key  # `_block_key`
-        self._operator = self._kept = None
+        self._kept = None
 
-    @property
+    @functools.cached_property
+    def beams(self) -> Beams:
+        """The `Beams` of the block's strategy and channel, built at the first read."""
+        return _beams(*self.key[:5])
+
+    @functools.cached_property
     def operator(self):
         """(table, G, D) of `_operator`, built at the first read."""
-        if self._operator is None:
-            self._operator = _operator(*self.key)
-        return self._operator
+        ch, cfg, _, m_main, _, angles = self.key
+        return _operator(ch, cfg, self.beams, m_main, angles)
 
     def streams(self, K: int, rng, subsets: SubsetBlock | None) -> SymbolStreams:
         """Draw K symbols of the block's strategy (`_draw_weights`) and reduce them."""
         kept = self._kept
         if kept is not None and kept[0] is rng and kept[1] is subsets and kept[2] == K:
             return kept[3]
-        _, cfg, kind, m_main, _, _ = self.key
         table, G, D = self.operator
-        count, mask = _draw_weights(kind, len(G), cfg.n_antennas, m_main, K, rng, subsets)
+        count, mask = _draw_weights(self.beams, self.key[3], K, rng, subsets)  # key[3]: m_main
         streams = _reduce(table, G, D, count, mask)
         if callable(rng):
             self._kept = rng, subsets, K, streams
@@ -561,7 +563,7 @@ def simulate_streams(
 
     Every strategy sends, per symbol, a unit-power weight vector w_k drawn
     in factored form (`_draw_weights`): a beam B[s], with the m-subset
-    mask_k switched to the main beam B[0] for switched and joint.  One
+    mask_k switched to the main beam B[0] for a masked strategy.  One
     observation law serves every observer: its gain is o w, with o its
     observer row (`_operator`).  An eavesdropper (unit channel gain) at
     theta_E gets sqrt(N/L) a(theta_E)^H w; the receiver gets the
@@ -569,30 +571,29 @@ def simulate_streams(
     a(theta_l)^H w over the steered paths only (leakage from unsteered
     paths is excluded), so each beam has its own receiver row.
 
-    rng is the plan stream the counts are drawn from (`_draw_weights`: a
-    Generator, or a function that returns one, called only by the
-    random-path and joint draws and by a switched draw without `subsets`).
-    The m-subsets come from `subsets`, a block shared with the other masked
-    strategy and the other axis points of the same array size, when given;
-    else they are drawn from the plan stream after the counts
-    (`SubsetBlock(rng)`).  block is the `KernelBlock` of this (strategy,
-    channel, N, m, l_s, angles); without one the call builds its own.  A
-    call that hands the block the plan function, subsets and K of its kept
-    reduction gets that reduction back (`KernelBlock.streams`).
+    rng is the plan stream the counts are drawn from, a Generator or a
+    function that returns one (`_draw_weights`).  The m-subsets come from
+    `subsets`, a block shared with the other masked strategy and the other
+    axis points of the same array size, when given; else they are drawn
+    from the plan stream after the counts (`SubsetBlock(rng)`).  block is
+    the `KernelBlock` of this (strategy, channel, N, m, l_s, angles);
+    without one the call builds its own.  A call that hands the block the
+    plan function, subsets and K of its kept reduction gets that reduction
+    back (`KernelBlock.streams`).
 
     Returns the block as per-beam moments (`SymbolStreams`, read-only).
-    Per beam the law is G (R, T + 1), each beam at each observer, so
-    conventional and random-path symbols on beam s all have the gain G[s]:
+    Per beam the law is G (R, T + 1), each beam at each observer, so an
+    unmasked strategy's symbols on beam s all have the gain G[s]:
     mean G[s], M2 0.  The masked strategies add a random part
     y_k = mask_k D[s].  Beam s is sent by the contiguous symbols
     [start_s, end_s), whose products fill those rows of one (K, T + 1)
     array per reduction (`_reduce`); one `np.add.reduceat` sums every sent
     beam's rows and one einsum per beam gives its sum of |y|^2, and
     mean = G[s] + sum y / n_s and M2 = sum |y|^2 - |sum y|^2 / n_s,
-    clipped at 0.  For these strategies
-    G[s] is the beam's mean gain over the subsets and y its zero-mean
-    random part, so the raw sums lose no digits to cancellation.  The
-    receiver's |G[s, T] + y_k| fill one float per symbol, summed once.
+    clipped at 0.  For these strategies G[s] is the beam's mean gain over
+    the subsets and y its zero-mean random part, so the raw sums lose no
+    digits to cancellation.  The receiver's |G[s, T] + y_k| fill one float
+    per symbol, summed once.
     """
     key = _block_key(ch, cfg, kind, m_main, l_s, theta_e_list)
     if block is None:
@@ -606,16 +607,11 @@ def simulate_streams(
 # sweep driver
 
 
-def receiver_reference_gain(ch: ChannelRealization, kind: StrategyKind) -> float:
-    """Reference channel gain anchoring the receiver's noise floor.
-
-    The static beams ride the strongest path, so rho_R measures that
-    link; the randomized techniques spread over the path set, so rho_R
-    measures the all-path mean gain as in the path-hopping SNR formula.
-    """
-    if kind in (StrategyKind.CONVENTIONAL, StrategyKind.SWITCHED_ARRAY):
-        return abs(ch.gains[ch.strongest_index])
-    return ch.mean_gain
+def receiver_reference_gain(ch: ChannelRealization, beams: Beams) -> float:
+    """Reference channel gain anchoring the receiver's noise floor: the
+    strongest path's, so rho_R measures that link, or, if the strategy's
+    `Beams.mean_reference`, the all-path mean as in the path-hopping SNR formula."""
+    return ch.mean_gain if beams.mean_reference else abs(ch.gains[ch.strongest_index])
 
 
 def _channel_rng(spec: SweepSpec, n_paths: int, ens: int) -> np.random.Generator:
@@ -666,9 +662,8 @@ class _Point:
     def applicable(self, kind: StrategyKind) -> bool:
         # `SweepSpec` rejects every other infeasible run: only an antennas-axis N
         # below m, or a paths-axis L below 2 for joint, makes a point inapplicable
-        if kind in (StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA):
-            if self.m_main > self.cfg.n_antennas:
-                return False
+        if kind.masked and self.m_main > self.cfg.n_antennas:
+            return False
         return kind is not StrategyKind.JOINT_PATH_ANTENNA or self.n_paths >= 2
 
 
@@ -817,7 +812,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
             ch, pt.cfg, kind, pt.m_main, pt.l_s, theta_list, spec.symbols_per_point, plan,
             subsets, kernel,
         )
-        sigma_r = receiver_reference_gain(ch, kind) ** 2 / pt.rho_r
+        sigma_r = receiver_reference_gain(ch, kernel.beams) ** 2 / pt.rho_r
         snr_r = receiver_snr(streams.recv_abs_sum, spec.symbols_per_point, sigma_r)
         eve, aligned = streams.eve, streams.table[0]
         if joint_mix:

@@ -5,8 +5,8 @@ Conventional and SwitchedArray always aim at the strongest path.
 RandomPath hops uniformly over all L paths each symbol.  JointPathAntenna
 splits the array between the strongest path and a random secondary path
 drawn from the strongest-L_S candidate pool, with fresh antenna subsets
-every symbol.  `montecarlo.simulate_streams` draws every strategy's
-per-symbol weights.
+every symbol.  Each strategy's law on one channel is one record
+(`montecarlo._beams`); which strategies are masked is `StrategyKind.masked`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ class StrategyKind(enum.Enum):
     SWITCHED_ARRAY = "switched"
     RANDOM_PATH = "random-path"
     JOINT_PATH_ANTENNA = "joint"
+
+    @property
+    def masked(self) -> bool:
+        """Whether each symbol switches a fresh m-subset of the antennas to the main beam."""
+        return self in (StrategyKind.SWITCHED_ARRAY, StrategyKind.JOINT_PATH_ANTENNA)
 
 
 def check_joint(m_main: int, l_s: int, n_antennas: int, n_paths: int):

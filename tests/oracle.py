@@ -47,21 +47,21 @@ def full_channel_gain(ch, cfg, w):
     return complex(np.vdot(math.sqrt(cfg.n_antennas / ch.n_paths) * h, w))
 
 
-def _rows(kind, R, n, m, K, seed):
+def _rows(beams, m, K, seed):
     """The kernel's draw on `seed` as the beam each symbol sends (K,) and its
     mask: beam s repeated count[s] times, in beam order."""
-    count, mask = _draw_weights(kind, R, n, m, K, np.random.default_rng(seed))
-    return np.repeat(np.arange(R), count), mask
+    count, mask = _draw_weights(beams, m, K, np.random.default_rng(seed))
+    return np.repeat(np.arange(len(beams.p)), count), mask
 
 
 def _expand(ch, cfg, kind, m, l_s, K, seed):
     """The kernel's draw on `seed` as dense rows: each symbol's weights (K, N),
     main-beam mask (K, N) and the channel indices of the paths it steers (K, S)."""
-    B, cand, steer = _beams(ch, cfg, kind, m, l_s)
-    row, main = _rows(kind, len(B), cfg.n_antennas, m, K, seed)
+    beams = _beams(ch, cfg, kind, m, l_s)
+    row, main = _rows(beams, m, K, seed)
     if main is None:
         main = np.zeros((K, cfg.n_antennas), dtype=bool)
-    return np.where(main, B[0], B[row]), main, cand[steer[row]]
+    return np.where(main, beams.B[0], beams.B[row]), main, beams.cand[beams.steer[row]]
 
 
 def sent_symbols(ch, cfg, kind, m, l_s, K, seed):
@@ -95,9 +95,9 @@ def kernel_gains(ch, cfg, kind, m, l_s, thetas, K, seed):
     is row = repeat(arange(R), count), and symbol k's gain is G[row_k] plus,
     for the masked strategies, mask_k D[row_k] viewed as complex.
     """
-    operator = _operator(ch, cfg, kind, m, l_s, tuple(np.asarray(thetas, float).tolist()))
-    rng = np.random.default_rng(seed)
-    return draw_gains(*operator, *_draw_weights(kind, len(operator[1]), cfg.n_antennas, m, K, rng))
+    beams = _beams(ch, cfg, kind, m, l_s)
+    operator = _operator(ch, cfg, beams, m, tuple(np.asarray(thetas, float).tolist()))
+    return draw_gains(*operator, *_draw_weights(beams, m, K, np.random.default_rng(seed)))
 
 
 def draw_gains(table, G, D, count, mask):
@@ -166,7 +166,7 @@ def masked_beam_variance(ch, cfg, kind, m, l_s, thetas):
     m (n - m) / (n (n - 1)) * sum_n |x_n - mean x|^2 (Cochran, Sampling
     Techniques, ch. 2).
     """
-    B, _, _ = _beams(ch, cfg, kind, m, l_s)
+    B = _beams(ch, cfg, kind, m, l_s).B
     n = cfg.n_antennas
     a = np.conj(array_response(cfg, np.asarray(thetas, dtype=float)[:, None]))  # (T, n)
     x = math.sqrt(n / ch.n_paths) * a[None] * (B[0] - B)[:, None, :]  # (R, T, n)

@@ -37,6 +37,7 @@ from mmwsec.montecarlo import (
     SweepRow,
     SweepSpec,
     _block_key,
+    _beams,
     _check_row,
     _draw_weights,
     _random_subsets,
@@ -229,12 +230,14 @@ def test_receiver_reference_gain_convention():
     ch = sample_channel(12, THETA_R, np.random.default_rng(71))
     strongest = abs(ch.gains[ch.strongest_index])
     mean_all = np.abs(ch.gains).mean()
-    assert receiver_reference_gain(ch, StrategyKind.CONVENTIONAL) == strongest
-    assert receiver_reference_gain(ch, StrategyKind.SWITCHED_ARRAY) == strongest
-    assert receiver_reference_gain(ch, StrategyKind.RANDOM_PATH) == pytest.approx(mean_all)
-    assert receiver_reference_gain(ch, StrategyKind.JOINT_PATH_ANTENNA) == pytest.approx(
-        mean_all
-    )
+
+    def reference(kind):
+        return receiver_reference_gain(ch, _beams(ch, ArrayConfig(32), kind, 16, 5))
+
+    assert reference(StrategyKind.CONVENTIONAL) == strongest
+    assert reference(StrategyKind.SWITCHED_ARRAY) == strongest
+    assert reference(StrategyKind.RANDOM_PATH) == pytest.approx(mean_all)
+    assert reference(StrategyKind.JOINT_PATH_ANTENNA) == pytest.approx(mean_all)
 
 
 def test_streams_match_reference_simulator_values():
@@ -272,14 +275,62 @@ def test_joint_draws_uniform_secondary_paths_and_subsets():
     assert np.allclose(np.delete(freq, ch.strongest_index), 1 / 11, atol=0.01)
     on_main = np.isclose(w, array_response(cfg, THETA_R), rtol=0, atol=1e-12)
     assert np.allclose(on_main.mean(axis=0), 16 / 32, atol=0.03)
-    # draw order: every pool beam's count first, then the antenna subsets
-    kind = StrategyKind.JOINT_PATH_ANTENNA
-    _, cand, _ = montecarlo._beams(ch, cfg, kind, 16, 12)
-    count, mask = _draw_weights(kind, cand.size, 32, 16, 10_000, np.random.default_rng(76))
+
+
+# (strategy, l_s, whether a shared SubsetBlock is given): every kind, switched
+# with and without shared subsets, and joint with a pool of one path (a one-hot
+# p, also with shared subsets), of 4 and of every other path
+COUNT_LAW_CASES = [
+    (StrategyKind.CONVENTIONAL, 5, False),
+    (StrategyKind.SWITCHED_ARRAY, 5, False),
+    (StrategyKind.SWITCHED_ARRAY, 5, True),
+    (StrategyKind.RANDOM_PATH, 5, False),
+    (StrategyKind.JOINT_PATH_ANTENNA, 2, False),
+    (StrategyKind.JOINT_PATH_ANTENNA, 2, True),
+    (StrategyKind.JOINT_PATH_ANTENNA, 5, False),
+    (StrategyKind.JOINT_PATH_ANTENNA, 12, False),
+]
+
+
+@pytest.mark.parametrize("kind, l_s, shared", COUNT_LAW_CASES)
+def test_count_law_replays_each_strategys_draw(kind, l_s, shared):
+    # the one count law (K p for a one-hot p, else multinomial(K, p), then a
+    # masked strategy's subsets) draws what each strategy's own formula drew
+    # from the same streams, and calls the plan function at most once, only
+    # where the draw reads the stream
+    K, n, m = 10_000, 32, 16
+    ch = sample_channel(12, THETA_R, np.random.default_rng(75))
+    beams = _beams(ch, ArrayConfig(n), kind, m, l_s)
+    p, R = beams.p, len(beams.B)
+    assert p.shape == (R,) and np.all(p >= 0) and p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert beams.masked == kind.masked and (not beams.masked or p[0] == 0)
+    reads = not (p == 1).any() or (beams.masked and not shared)
+    calls = []
+
+    def plan():
+        if not reads or calls:
+            raise AssertionError("the draw called the plan function where it must not")
+        calls.append(None)
+        return np.random.default_rng(76)
+
+    subsets = SubsetBlock(np.random.default_rng(77)) if shared else None
+    count, mask = _draw_weights(beams, m, K, plan, subsets)
+    assert len(calls) == reads
     replay = np.random.default_rng(76)
-    pool = cand.size - 1
-    assert np.array_equal(count, [0, *replay.multinomial(10_000, np.full(pool, 1 / pool))])
-    assert np.array_equal(mask, _random_subsets(replay, 10_000, 32, 16))
+    if kind is StrategyKind.CONVENTIONAL:
+        want = [K]
+    elif kind is StrategyKind.SWITCHED_ARRAY:
+        want = [0, K]
+    elif kind is StrategyKind.RANDOM_PATH:
+        want = replay.multinomial(K, np.full(R, 1 / R))
+    else:  # every pool beam's count before any subset
+        want = [0, *replay.multinomial(K, np.full(R - 1, 1 / (R - 1)))]
+    assert count.dtype == np.int64 and np.array_equal(count, want)
+    if not kind.masked:
+        assert mask is None
+    else:
+        stream = np.random.default_rng(77) if shared else replay
+        assert np.array_equal(mask, _random_subsets(stream, K, n, m))
 
 
 # (N, L, m, l_s, angles): today's shape; every non-strongest path in the
@@ -366,7 +417,7 @@ def _check_moments_against_oracle(n, L, m, l_s, angles, K, seed):
             alignment_mixture_snr_of_samples(g.eaves[0], g.aligned[0], noise), rel=1e-12
         )
         # a block that sent no aligned symbol reads the aligned beams' exact mean gains
-        G = montecarlo._operator(ch, cfg, kind, m, l_s, tuple(thetas))[1]
+        G = KernelBlock(_block_key(ch, cfg, kind, m, l_s, thetas)).operator[1]
         main_gain = G[aligned, 0].mean() if aligned.any() else 0.0
         assert location_mixture_snr(eve, aligned, got.at(slice(1, T)), L, noise) == pytest.approx(
             location_mixture_snr_of_samples(
@@ -463,8 +514,9 @@ def test_operator_memo_is_read_only_and_cleared_per_sweep(monkeypatch):
         args = (ch, cfg, kind, 6, 4, [55.0], 100)
         plan = functools.partial(np.random.default_rng, 84)
         first = simulate_streams(*args, plan, subsets, block)
+        beams = block.beams
         shared = [
-            *montecarlo._beams(ch, cfg, kind, 6, 4),
+            beams.B, beams.cand, beams.steer, beams.p,
             *block.operator,
             subsets.mask(100, 16, 6),
             first.moments.count, first.moments.mean, first.moments.m2, first.table,
@@ -517,7 +569,7 @@ def test_masked_reduction_matches_two_pass_statistics_on_any_counts():
     ch = sample_channel(8, THETA_R, np.random.default_rng(88))
     mask = SubsetBlock(np.random.default_rng(89)).mask(K, 16, m)
     key = _block_key(ch, cfg, StrategyKind.JOINT_PATH_ANTENNA, m, l_s, thetas)
-    operator = montecarlo._operator(*key)
+    operator = KernelBlock(key).operator
     draws = [
         [0, 100, 100, 200, 0],
         [0, 110, 90, 200, 0],
@@ -717,9 +769,9 @@ def test_rho_e_points_of_one_channel_draw_and_pool_once(monkeypatch):
     drawn, pooled, calls = Counter(), [], Counter()
     draw, pool = montecarlo._draw_weights, BeamMoments._pool
 
-    def draw_spy(kind, *args):
-        drawn[kind] += 1
-        return draw(kind, *args)
+    def draw_spy(beams, *args):
+        drawn[beams] += 1  # a record per (strategy, channel), hashed by identity
+        return draw(beams, *args)
 
     def pool_spy(moments, beams):
         pooled.append(moments._pool_key(beams))
@@ -743,7 +795,7 @@ def test_rho_e_points_of_one_channel_draw_and_pool_once(monkeypatch):
     run_sweep(
         small_spec(axis="rho_e_db", axis_values=values, ensemble=ensemble, symbols_per_point=200)
     )
-    assert drawn == {kind: ensemble for kind in ALL}
+    assert len(drawn) == len(ALL) * ensemble and set(drawn.values()) == {1}
     # two groups per (strategy, channel), each pooled at its first point and kept:
     # the unaligned and aligned beams at the eavesdropper, or, as theta_E =
     # theta_R lies on a transmit angle of joint, joint's mainlobe and its pool of
@@ -772,7 +824,8 @@ def test_mean_gain_is_computed_once_per_channel(monkeypatch):
     run_sweep(spec)
     assert len(computed) == 2  # one channel per ensemble index, read by 12 evaluations
     ch = computed[0]
-    assert ch.mean_gain == receiver_reference_gain(ch, StrategyKind.JOINT_PATH_ANTENNA)
+    joint = _beams(ch, ArrayConfig(32), StrategyKind.JOINT_PATH_ANTENNA, 16, 5)
+    assert ch.mean_gain == receiver_reference_gain(ch, joint)
 
 
 def test_random_path_alignment_label_frequency():

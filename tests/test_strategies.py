@@ -35,13 +35,13 @@ def test_params_validation():
 
 
 def test_conventional_plan_is_static(channel):
-    W, cand, steer = _beams(channel, CFG, StrategyKind.CONVENTIONAL, 16, 5)
+    beams = _beams(channel, CFG, StrategyKind.CONVENTIONAL, 16, 5)
     rng = np.random.default_rng(0)
-    count, _ = _draw_weights(StrategyKind.CONVENTIONAL, len(W), 32, 16, 20, rng)
-    assert len(W) == 1 and count.tolist() == [20]  # every symbol sends the one row
-    assert channel.aods_deg[cand[steer[0]]].tolist() == [THETA_R]
-    assert np.array_equal(W[0], A_R)
-    assert np.vdot(A_R, W[0]) == pytest.approx(1.0, abs=1e-12)
+    count, _ = _draw_weights(beams, 16, 20, rng)
+    assert len(beams.B) == 1 and count.tolist() == [20]  # every symbol sends the one row
+    assert channel.aods_deg[beams.cand[beams.steer[0]]].tolist() == [THETA_R]
+    assert np.array_equal(beams.B[0], A_R)
+    assert np.vdot(A_R, beams.B[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_switched_plan_subset_and_power(channel):
